@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -140,7 +141,7 @@ def _run_point(spec: SweepSpec, mu: float, realization: int, timing: bool) -> li
                     ms=ms,
                 )
             )
-    except (InfeasibleModelError, IsolatedNodeError, ValueError) as exc:
+    except (InfeasibleModelError, IsolatedNodeError) as exc:
         # keep the grid point visible in the output instead of dropping it
         for objective in spec.objectives:
             rows.append(
@@ -156,7 +157,7 @@ def _run_point(spec: SweepSpec, mu: float, realization: int, timing: bool) -> li
                     ms=0,
                 )
             )
-        print(f"warning: mu={mu} realization={realization} failed: {exc}")
+        print(f"warning: mu={mu} realization={realization} failed: {exc}", file=sys.stderr)
     return rows
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -214,7 +215,8 @@ def cmd_sweep(args) -> int:
         "objectives": list(spec.objectives),
     }
     print(json.dumps(payload))
-    print(f"wrote {len(rows)} rows to {args.out_raw}", file=sys.stderr)
+    failed = sum(math.isnan(row.objective_value) for row in rows) // len(spec.objectives)
+    print(f"wrote {len(rows)} rows to {args.out_raw}; failed grid points: {failed}", file=sys.stderr)
     return 0
 
 

@@ -19,17 +19,99 @@ from .partitions import Partition
 from .walk import (
     ClusterAggregates,
     RandomWalk,
-    binary_kld,
     cluster_aggregates,
     kld_rate,
     mutual_info_clusters,
     mutual_info_nodes,
+    transition_matrix,
 )
 
 #: Sentinel target for moving a node into a brand-new singleton cluster.
 FRESH = -1
 
 _BOUND_SLACK = 1e-9
+
+
+# A criterion sums a term of each cluster's stationary mass and within-cluster
+# flow: ``term`` on floats for move gains (numpy costs 60x more per call there),
+# ``terms`` elementwise on arrays (a logarithm may differ in its last bit).
+# ``dense_targets``: moves may target any cluster, not only flow-adjacent ones.
+# ``weights(g)`` gives (node weights, total, edge tails, heads, weights, total):
+# summed over a cluster and divided by the totals, mass and within-cluster flow.
+
+
+class _Synthesis:
+    """Mass t times the binary KL divergence in bits between the stay
+    probability within / t and t; clusters of mass 0 or 1 score 0."""
+
+    # a low stay probability scores too, so a node can gain by joining a
+    # cluster it has no flow to
+    dense_targets = True
+
+    @staticmethod
+    def term(mass: float, within: float) -> float:
+        if mass <= 0.0 or mass >= 1.0:
+            return 0.0
+        s = within / mass
+        if s < 0.0:
+            s = 0.0
+        elif s > 1.0:
+            s = 1.0
+        total = 0.0
+        if s > 0.0:
+            total += s * math.log2(s / mass)
+        if s < 1.0:
+            total += (1.0 - s) * math.log2((1.0 - s) / (1.0 - mass))
+        return mass * total
+
+    @staticmethod
+    def terms(mass: np.ndarray, within: np.ndarray) -> np.ndarray:
+        live = (mass > 0.0) & (mass < 1.0)
+        t = np.where(live, mass, 0.5)
+        s = np.clip(within / t, 0.0, 1.0)
+        # log 1 = 0 stands in for the dropped 0 * log 0
+        stay = s * np.log2(np.where(s > 0.0, s / t, 1.0))
+        leave = (1.0 - s) * np.log2(np.where(s < 1.0, (1.0 - s) / (1.0 - t), 1.0))
+        return np.where(live, t * (stay + leave), 0.0)
+
+    @staticmethod
+    def weights(g: Graph) -> tuple:
+        walk = transition_matrix(g)
+        f = walk.flows.tocoo()
+        return walk.p, 1.0, f.row, f.col, f.data, 1.0
+
+
+class _Modularity:
+    """Flow-form modularity, within - mass**2: Newman's modularity on an
+    unweighted undirected graph, and the optimizer's weighted form."""
+
+    # a modularity gain needs shared flow
+    dense_targets = False
+
+    @staticmethod
+    def term(mass, within):
+        return within - mass * mass
+
+    terms = term
+
+    @staticmethod
+    def weights(g: Graph) -> tuple:
+        # exact edge and degree counts, so equal counts tie exactly (the
+        # pairings of a 4-cycle and its single cluster all score 0)
+        if g.directed:
+            raise ValueError("modularity is defined here for undirected graphs only")
+        if not g.is_unweighted:
+            raise ValueError("modularity is defined here for unweighted graphs only")
+        m_edges = g.num_edges
+        if m_edges == 0:
+            raise ValueError("modularity needs at least one edge")
+        return g.degrees, 2.0 * m_edges, g.u, g.v, np.ones(m_edges), m_edges
+
+
+SYNTHESIS = _Synthesis()
+MODULARITY = _Modularity()
+#: the criteria the optimizer searches by moves, by objective name
+CRITERIA = {"synthesis": SYNTHESIS, "modularity": MODULARITY}
 
 
 @dataclass
@@ -77,14 +159,12 @@ def synthesis_objective(agg: ClusterAggregates, node_mi: float | None = None) ->
     Raises:
         ValueError: a cluster with zero stationary mass.
     """
-    k = agg.num_clusters
     if np.any(agg.p_i <= 0.0):
         raise ValueError("every cluster needs positive stationary mass")
-    if k == 1:
+    if agg.num_clusters == 1:
         per = np.zeros(1)
-        return ObjectiveReport(0.0, per, mutual_info_clusters(agg), node_mi)
-    stay = np.clip(agg.stay_probabilities(), 0.0, 1.0)
-    per = np.array([agg.p_i[i] * binary_kld(float(stay[i]), float(agg.p_i[i])) for i in range(k)])
+    else:
+        per = SYNTHESIS.terms(agg.p_i, np.diag(agg.p_ij))
     return ObjectiveReport(float(per.sum()), per, mutual_info_clusters(agg), node_mi)
 
 
@@ -109,21 +189,15 @@ def modularity(g: Graph, part: Partition) -> float:
     Raises:
         ValueError: directed or weighted input, or node-count mismatch.
     """
-    if g.directed:
-        raise ValueError("modularity is defined here for undirected graphs only")
-    if not g.is_unweighted:
-        raise ValueError("modularity is defined here for unweighted graphs only")
+    degrees, two_m, u, v, _, m_edges = MODULARITY.weights(g)
     if part.n != g.n:
         raise ValueError(f"partition covers {part.n} nodes, graph has {g.n}")
-    m_edges = g.num_edges
-    if m_edges == 0:
-        raise ValueError("modularity needs at least one edge")
     assign = part.assignment
     internal = np.bincount(
-        assign[g.u], weights=(assign[g.u] == assign[g.v]).astype(float), minlength=part.num_clusters
+        assign[u], weights=(assign[u] == assign[v]).astype(float), minlength=part.num_clusters
     )
-    degree_sums = np.bincount(assign, weights=g.degrees, minlength=part.num_clusters)
-    return float(np.sum(internal / m_edges - (degree_sums / (2.0 * m_edges)) ** 2))
+    degree_sums = np.bincount(assign, weights=degrees, minlength=part.num_clusters)
+    return float(np.sum(MODULARITY.terms(degree_sums / two_m, internal / m_edges)))
 
 
 @dataclass
@@ -218,28 +292,6 @@ def objective_identity_check(walk: RandomWalk, part: Partition) -> tuple[float, 
     return lhs, rhs
 
 
-def _synthesis_term(mass: float, within: float) -> float:
-    """One cluster's objective contribution from its mass and within-flow."""
-    if mass <= 0.0 or mass >= 1.0:
-        return 0.0
-    s = within / mass
-    if s < 0.0:
-        s = 0.0
-    elif s > 1.0:
-        s = 1.0
-    total = 0.0
-    if s > 0.0:
-        total += s * math.log2(s / mass)
-    if s < 1.0:
-        total += (1.0 - s) * math.log2((1.0 - s) / (1.0 - mass))
-    return mass * total
-
-
-def _modularity_term(mass: float, within: float) -> float:
-    """Weighted-modularity contribution in stationary-flow form."""
-    return within - mass * mass
-
-
 class FlowMoveState:
     """Incremental evaluator for criteria that depend only on each cluster's
     stationary mass and within-cluster flow.
@@ -249,15 +301,13 @@ class FlowMoveState:
     for its tentative move chains.
     """
 
-    def __init__(self, walk: RandomWalk, part: Partition, term=_synthesis_term):
+    def __init__(self, walk: RandomWalk, part: Partition, criterion=SYNTHESIS):
         n = walk.n
         if part.n != n:
             raise ValueError(f"partition covers {part.n} nodes, walk has {n}")
         self.walk = walk
-        self.term = term
-        #: whether move search should scan every active cluster as a target
-        #: (the divergence objectives) or only flow-adjacent ones (modularity)
-        self.dense_targets = True
+        self.criterion = criterion
+        self.term = criterion.term
         self.node_mass = walk.p.copy()
         f = walk.flows
         self.self_flow = f.diagonal().copy()
@@ -370,7 +420,7 @@ class FlowMoveState:
 
     def value(self) -> float:
         active = np.nonzero(self.counts)[0]
-        return float(sum(self.term(float(self.mass[c]), float(self.within[c])) for c in active))
+        return float(np.sum(self.criterion.terms(self.mass[active], self.within[active])))
 
     def partition(self) -> Partition:
         return Partition(self.assignment)

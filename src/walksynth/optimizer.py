@@ -12,26 +12,29 @@ stationary flows, so objective values at coarser levels equal the flat ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .graph import Graph
-from .objective import (
-    FRESH,
-    FlowMoveState,
-    ObjectiveReport,
-    _modularity_term,
-    _synthesis_term,
-    evaluate_partition,
-    synthesis_objective,
-)
+from .objective import CRITERIA, FRESH, FlowMoveState, ObjectiveReport, evaluate_partition
 from .partitions import Partition
-from .walk import RandomWalk, cluster_aggregates, mutual_info_clusters, transition_matrix
+from .walk import (
+    ClusterAggregates,
+    RandomWalk,
+    cluster_aggregates,
+    mutual_info_clusters,
+    transition_matrix,
+)
 
 OBJECTIVES = ("synthesis", "modularity", "cluster_mi")
 
 #: Levels at most this large also get the chained-move escape phase.
 CHAIN_NODE_CAP = 128
+
+#: Partitions scored per numpy call by the exhaustive search.
+ORACLE_BLOCK = 4096
 
 
 @dataclass
@@ -53,146 +56,12 @@ class OptimizerConfig:
             raise ValueError("node_order must be 'random-shuffle' or 'index'")
 
 
-class ClusterMIMoveState(FlowMoveState):
-    """Incremental evaluator for the cluster-level mutual information.
-
-    Keeps the full cluster-to-cluster flow matrix; only meaningful for walks
-    with symmetric flows (undirected graphs), which the optimizer enforces.
-    """
-
-    def __init__(self, walk: RandomWalk, part: Partition):
-        super().__init__(walk, part, term=None)
-        if self.in_idx is not self.out_idx:
-            raise ValueError("cluster-mi moves need symmetric stationary flows")
-        n = walk.n
-        self.pm = np.zeros((n, n))
-        coo = walk.flows.tocoo()
-        np.add.at(self.pm, (self.assignment[coo.row], self.assignment[coo.col]), coo.data)
-
-    @staticmethod
-    def _mi_terms(x: np.ndarray, mi: float, mj: np.ndarray) -> float:
-        mask = x > 0.0
-        if not np.any(mask):
-            return 0.0
-        return float(np.sum(x[mask] * np.log2(x[mask] / (mi * mj[mask]))))
-
-    def _affected_sum(self, row_a, row_b, corner, mass_a, mass_b, mass_o):
-        # symmetric flows: column terms over untouched clusters mirror the rows
-        total = 2.0 * (self._mi_terms(row_a, mass_a, mass_o) + self._mi_terms(row_b, mass_b, mass_o))
-        aa, ab, bb = corner
-        for x, mi, mj in ((aa, mass_a, mass_a), (bb, mass_b, mass_b)):
-            if x > 0.0:
-                total += x * np.log2(x / (mi * mj))
-        if ab > 0.0:
-            total += 2.0 * ab * np.log2(ab / (mass_a * mass_b))
-        return total
-
-    def gain(self, node: int, to_cluster: int, flows: dict[int, float] | None = None) -> float:
-        a = int(self.assignment[node])
-        if to_cluster == a:
-            return 0.0
-        if flows is None:
-            flows = self.flows_to_clusters(node)
-        p = float(self.node_mass[node])
-        sl = float(self.self_flow[node])
-        d = {c: f * 0.5 for c, f in flows.items()}
-        active = np.nonzero(self.counts)[0]
-        b = to_cluster
-        fresh = b == FRESH
-        others = active[(active != a) & (active != b)]
-        mass_o = self.mass[others]
-
-        row_a_old = self.pm[a, others]
-        row_b_old = self.pm[b, others] if not fresh else np.zeros(len(others))
-        corner_old = (
-            float(self.pm[a, a]),
-            float(self.pm[a, b]) if not fresh else 0.0,
-            float(self.pm[b, b]) if not fresh else 0.0,
-        )
-        mass_a, mass_b = float(self.mass[a]), float(self.mass[b]) if not fresh else 0.0
-        old = self._affected_sum(row_a_old, row_b_old, corner_old, mass_a, mass_b, mass_o)
-
-        d_o = np.array([d.get(int(c), 0.0) for c in others])
-        d_a, d_b = d.get(a, 0.0), d.get(b, 0.0) if not fresh else 0.0
-        emptied = self.counts[a] == 1
-        row_a_new = np.zeros(len(others)) if emptied else row_a_old - d_o
-        row_b_new = row_b_old + d_o
-        corner_new = (
-            0.0 if emptied else corner_old[0] - 2.0 * d_a - sl,
-            0.0 if emptied else corner_old[1] + d_a - d_b,
-            corner_old[2] + 2.0 * d_b + sl,
-        )
-        new = self._affected_sum(row_a_new, row_b_new, corner_new, mass_a - p, mass_b + p, mass_o)
-        return float(new - old)
-
-    def apply(self, node: int, to_cluster: int) -> int:
-        a = int(self.assignment[node])
-        flows = self.flows_to_clusters(node)
-        d = {c: f * 0.5 for c, f in flows.items()}
-        sl = float(self.self_flow[node])
-        emptied = self.counts[a] == 1
-        b = super().apply(node, to_cluster)
-        if a == b:
-            return b
-        d_a, d_b = d.get(a, 0.0), d.get(b, 0.0)
-        for c, val in d.items():
-            if c in (a, b) or val == 0.0:
-                continue
-            self.pm[a, c] -= val
-            self.pm[c, a] -= val
-            self.pm[b, c] += val
-            self.pm[c, b] += val
-        self.pm[a, a] -= 2.0 * d_a + sl
-        self.pm[b, b] += 2.0 * d_b + sl
-        delta_ab = d_a - d_b
-        self.pm[a, b] += delta_ab
-        self.pm[b, a] += delta_ab
-        if emptied:
-            self.pm[a, :] = 0.0
-            self.pm[:, a] = 0.0
-        return b
-
-    def value(self) -> float:
-        active = np.nonzero(self.counts)[0]
-        sub = self.pm[np.ix_(active, active)]
-        outer = self.mass[active, None] * self.mass[None, active]
-        mask = sub > 0.0
-        return float(np.sum(sub[mask] * np.log2(sub[mask] / outer[mask])))
-
-    def snapshot(self) -> tuple:
-        return super().snapshot() + (self.pm.copy(),)
-
-    def restore(self, snap: tuple) -> None:
-        super().restore(snap[:5])
-        self.pm = snap[5].copy()
-
-
-def _make_state(walk: RandomWalk, part: Partition, objective: str) -> FlowMoveState:
-    if objective == "synthesis":
-        state = FlowMoveState(walk, part, term=_synthesis_term)
-    elif objective == "modularity":
-        state = FlowMoveState(walk, part, term=_modularity_term)
-    else:
-        state = ClusterMIMoveState(walk, part)
-    # a modularity gain needs shared edges, so only flow-adjacent targets can
-    # win; the divergence objectives also reward moving a node into a cluster
-    # it has no flow to (low stay probability scores too), so they must scan
-    # every active cluster
-    state.dense_targets = objective != "modularity"
-    return state
-
-
-def _move_targets(state: FlowMoveState, a: int, flows: dict[int, float]):
-    if state.dense_targets:
-        return np.flatnonzero(state.counts > 0).tolist()
-    return flows
-
-
 def _best_move(state: FlowMoveState, node: int, min_gain: float):
     flows = state.flows_to_clusters(node)
     a = int(state.assignment[node])
+    targets = np.flatnonzero(state.counts > 0).tolist() if state.criterion.dense_targets else flows
     best_gain, best = min_gain, None
-    for c in _move_targets(state, a, flows):
+    for c in targets:
         if c == a:
             continue
         g = state.gain(node, c, flows)
@@ -238,18 +107,9 @@ def _chain_pass(state: FlowMoveState, min_gain: float) -> bool:
         for node in range(n):
             if node in moved:
                 continue
-            flows = state.flows_to_clusters(node)
-            a = int(state.assignment[node])
-            for c in _move_targets(state, a, flows):
-                if c == a:
-                    continue
-                g = state.gain(node, c, flows)
-                if best is None or g > best[0]:
-                    best = (g, node, c)
-            if state.counts[a] > 1:
-                g = state.gain(node, FRESH, flows)
-                if best is None or g > best[0]:
-                    best = (g, node, FRESH)
+            g, target = _best_move(state, node, -np.inf)
+            if target is not None and (best is None or g > best[0]):
+                best = (g, node, target)
         if best is None:
             break
         g, node, target = best
@@ -267,28 +127,6 @@ def _chain_pass(state: FlowMoveState, min_gain: float) -> bool:
         return True
     state.restore(snap)
     return False
-
-
-def _mi_terms_of(f, outer_mass) -> float:
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    o = np.broadcast_to(np.asarray(outer_mass, dtype=float), f.shape)
-    mask = f > 0.0
-    if not mask.any():
-        return 0.0
-    return float(np.sum(f[mask] * np.log2(f[mask] / o[mask])))
-
-
-def _mi_merge_delta(F: np.ndarray, m: np.ndarray, i: int, j: int) -> float:
-    # only terms touching rows/cols i or j change; F stays symmetric
-    others = [c for c in range(len(m)) if c not in (i, j) and m[c] > 0.0]
-    mo = m[others]
-    fi, fj = F[i, others], F[j, others]
-    mm = m[i] + m[j]
-    delta = 2.0 * (_mi_terms_of(fi + fj, mm * mo) - _mi_terms_of(fi, m[i] * mo) - _mi_terms_of(fj, m[j] * mo))
-    delta += _mi_terms_of(F[i, i] + F[j, j] + 2.0 * F[i, j], mm * mm)
-    delta -= _mi_terms_of(F[i, i], m[i] * m[i]) + _mi_terms_of(F[j, j], m[j] * m[j])
-    delta -= 2.0 * _mi_terms_of(F[i, j], m[i] * m[j])
-    return delta
 
 
 def _merge_chain(state: FlowMoveState, min_gain: float) -> bool:
@@ -332,13 +170,13 @@ class _SimState:
     """Cluster-level scratchpad for simulating a merge sequence."""
 
     def __init__(self, state: FlowMoveState, ids: np.ndarray, F: np.ndarray):
-        self.state = state
+        self.criterion = state.criterion
         self.F = F
         self.m = state.mass[ids].astype(float)
         self.alive = np.ones(len(ids), dtype=bool)
 
     def best_merge(self):
-        deltas = _merge_deltas_live(self.state, self.m, self.F, self.alive)
+        deltas = _merge_deltas_live(self.criterion, self.m, self.F, self.alive)
         i, j = np.unravel_index(int(np.argmax(deltas)), deltas.shape)
         if not np.isfinite(deltas[i, j]):
             return None
@@ -354,27 +192,14 @@ class _SimState:
         self.alive[j] = False
 
 
-def _merge_deltas_live(
-    state: FlowMoveState, m: np.ndarray, F: np.ndarray, alive: np.ndarray
-) -> np.ndarray:
-    if isinstance(state, ClusterMIMoveState):
-        k = len(m)
-        deltas = np.full((k, k), -np.inf)
-        live = np.flatnonzero(alive)
-        for a in range(len(live)):
-            for b in range(a + 1, len(live)):
-                i, j = int(live[a]), int(live[b])
-                if F[i, j] <= 0.0:
-                    continue
-                deltas[i, j] = _mi_merge_delta(F, m, i, j)
-        return deltas
-    term = np.vectorize(state.term, otypes=[float])
+def _merge_deltas_live(criterion, m: np.ndarray, F: np.ndarray, alive: np.ndarray) -> np.ndarray:
     w = np.diag(F)
     M2 = m[:, None] + m[None, :]
     W2 = w[:, None] + w[None, :] + 2.0 * F
-    deltas = term(M2, W2) - term(m, w)[:, None] - term(m, w)[None, :]
+    single = criterion.terms(m, w)
+    deltas = criterion.terms(M2, W2) - single[:, None] - single[None, :]
     dead = ~alive
-    if not state.dense_targets:
+    if not criterion.dense_targets:
         deltas[F <= 0.0] = -np.inf
     deltas[dead, :] = -np.inf
     deltas[:, dead] = -np.inf
@@ -398,13 +223,11 @@ def _refine_level(state: FlowMoveState, rng: np.random.Generator, cfg: Optimizer
             return
 
 
-def _partition_value(walk: RandomWalk, part: Partition, objective: str) -> float:
+def _partition_value(walk: RandomWalk, part: Partition, criterion) -> float:
+    if part.num_clusters == 1:
+        return 0.0
     agg = cluster_aggregates(walk, part)
-    if objective == "synthesis":
-        return synthesis_objective(agg).value
-    if objective == "modularity":
-        return float(np.sum(np.diag(agg.p_ij) - agg.p_i**2))
-    return mutual_info_clusters(agg)
+    return float(np.sum(criterion.terms(agg.p_i, np.diag(agg.p_ij))))
 
 
 def _aggregate_graph(walk: RandomWalk, part: Partition) -> Graph:
@@ -437,18 +260,28 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     graphs. Rounds repeat until the objective stops improving (or the round
     cap is hit). Deterministic for a given config.
 
+    ``cfg.objective`` names the criterion searched. Under "cluster_mi" no
+    search runs: by the data processing inequality no coarsening raises the
+    cluster-level mutual information above the node-level one, so the
+    singletons are an optimum.
+
     Args:
         g: undirected graph with positive degrees.
         cfg: optimizer settings; defaults to the synthesis objective, seed 0.
 
     Returns:
-        (Partition, ObjectiveReport) for the best partition found.
+        (Partition, ObjectiveReport) for the best partition found. The report
+        is always the synthesis objective J of that partition with both of
+        its bounds, whichever criterion was searched.
     """
     if g.directed:
         raise ValueError("the optimizer handles undirected graphs only")
     cfg = cfg if cfg is not None else OptimizerConfig()
-    rng = np.random.default_rng(cfg.seed)
     walk0 = transition_matrix(g)
+    if cfg.objective == "cluster_mi":
+        return Partition.singletons(g.n), evaluate_partition(walk0, Partition.singletons(g.n))
+    criterion = CRITERIA[cfg.objective]
+    rng = np.random.default_rng(cfg.seed)
 
     restarts = 1 if cfg.node_order == "index" else _restart_count(g.n)
     best_part, best_value = None, -np.inf
@@ -460,7 +293,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
             # singletons loses; random starts land in other basins
             k = int(rng.integers(1, g.n + 1))
             init = Partition(rng.integers(0, k, size=g.n))
-        part, value = _search_rounds(walk0, init, rng, cfg)
+        part, value = _search_rounds(walk0, init, rng, cfg, criterion)
         if value > best_value + cfg.min_gain:
             best_part, best_value = part, value
     return best_part, evaluate_partition(walk0, best_part)
@@ -473,26 +306,26 @@ def _restart_count(n: int) -> int:
 
 
 def _search_rounds(
-    walk0: RandomWalk, init: Partition, rng: np.random.Generator, cfg: OptimizerConfig
+    walk0: RandomWalk, init: Partition, rng: np.random.Generator, cfg: OptimizerConfig, criterion
 ) -> tuple[Partition, float]:
     part = init
     value = -np.inf
     for _ in range(cfg.max_outer_passes):
         # single-node moves on the original walk; this is also what undoes
         # merges that an earlier round's aggregation locked in
-        state = _make_state(walk0, part, cfg.objective)
+        state = FlowMoveState(walk0, part, criterion)
         _refine_level(state, rng, cfg)
         part = state.partition()
         # merge rounds on progressively coarser graphs
         while part.num_clusters > 1:
             level_walk = transition_matrix(_aggregate_graph(walk0, part))
-            st = _make_state(level_walk, Partition.singletons(part.num_clusters), cfg.objective)
+            st = FlowMoveState(level_walk, Partition.singletons(part.num_clusters), criterion)
             _refine_level(st, rng, cfg)
             sub = st.partition()
             if sub.num_clusters == part.num_clusters:
                 break
             part = Partition(sub.assignment[part.assignment])
-        new_value = _partition_value(walk0, part, cfg.objective)
+        new_value = _partition_value(walk0, part, criterion)
         if new_value <= value + cfg.min_gain:
             break
         value = new_value
@@ -524,7 +357,8 @@ def brute_force_optimum(
     """Exhaustively maximize a criterion over all partitions of a small graph.
 
     Ties break toward fewer clusters, then the lexicographically smallest
-    assignment (enumeration order).
+    assignment (enumeration order). The single cluster scores exactly 0
+    under synthesis and modularity.
 
     Args:
         g: the graph; must have at most ``n_cap`` nodes.
@@ -539,66 +373,56 @@ def brute_force_optimum(
     if g.n > n_cap:
         raise ValueError(f"graph has {g.n} nodes, exceeding the enumeration cap {n_cap}")
 
-    if objective == "modularity":
-        if g.directed:
-            raise ValueError("modularity is defined here for undirected graphs only")
-        if not g.is_unweighted:
-            raise ValueError("modularity is defined here for unweighted graphs only")
-        gu, gv = g.u, g.v
-        degrees = g.degrees
-        m_edges = g.num_edges
-        two_m = 2.0 * m_edges
-
-        def value_of(a: np.ndarray, k: int) -> float:
-            internal = np.bincount(a[gu], weights=(a[gu] == a[gv]).astype(float), minlength=k)
-            degsum = np.bincount(a, weights=degrees, minlength=k)
-            return float(np.sum(internal / m_edges - (degsum / two_m) ** 2))
-
+    if objective == "cluster_mi":
+        score = partial(_block_cluster_mi, transition_matrix(g))
     else:
-        walk = transition_matrix(g)
-        p = walk.p
-        coo = walk.flows.tocoo()
-        rows, cols, data = coo.row, coo.col, coo.data
+        criterion = CRITERIA[objective]
+        score = partial(_block_values, criterion, criterion.weights(g))
 
-        if objective == "synthesis":
-
-            def value_of(a: np.ndarray, k: int) -> float:
-                if k == 1:
-                    return 0.0
-                p_i = np.bincount(a, weights=p, minlength=k)
-                same = a[rows] == a[cols]
-                within = np.bincount(a[rows[same]], weights=data[same], minlength=k)
-                s = np.clip(within / p_i, 0.0, 1.0)
-                total = 0.0
-                for i in range(k):
-                    si, ti = s[i], p_i[i]
-                    term = 0.0
-                    if si > 0.0:
-                        term += si * np.log2(si / ti)
-                    if si < 1.0:
-                        term += (1.0 - si) * np.log2((1.0 - si) / (1.0 - ti))
-                    total += ti * term
-                return float(total)
-
-        else:
-
-            def value_of(a: np.ndarray, k: int) -> float:
-                p_i = np.bincount(a, weights=p, minlength=k)
-                pij = np.zeros((k, k))
-                np.add.at(pij, (a[rows], a[cols]), data)
-                outer = p_i[:, None] * p_i[None, :]
-                mask = pij > 0.0
-                return float(np.sum(pij[mask] * np.log2(pij[mask] / outer[mask])))
-
-    best_val = -np.inf
-    best_a: np.ndarray | None = None
-    best_k = 0
-    for a in set_partitions(g.n):
-        k = int(a.max()) + 1
-        val = value_of(a, k)
-        if val > best_val or (val == best_val and k < best_k):
-            best_val = val
-            best_a = a.copy()
-            best_k = k
-    assert best_a is not None
+    best_val, best_k, best_a = -np.inf, 0, None
+    partitions = set_partitions(g.n)
+    while len(block := np.array([a.copy() for a in islice(partitions, ORACLE_BLOCK)])):
+        values = score(block)
+        ks = block.max(axis=1) + 1
+        top = np.flatnonzero(values == values.max())
+        i = top[np.argmin(ks[top])]
+        if values[i] > best_val or (values[i] == best_val and ks[i] < best_k):
+            best_val, best_k, best_a = values[i], ks[i], block[i]
     return Partition(best_a), float(best_val)
+
+
+def _cluster_sums(labels: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
+    """Weights summed by label, row by row of a (B, m) label array, in order."""
+    b = len(labels)
+    offset = labels + bins * np.arange(b)[:, None]
+    summed = np.bincount(offset.ravel(), np.broadcast_to(weights, labels.shape).ravel(), b * bins)
+    return summed.reshape(b, bins)
+
+
+def _block_values(criterion, weights: tuple, block: np.ndarray) -> np.ndarray:
+    """Value of each row of a (B, n) assignment array; ``weights`` from ``criterion``."""
+    node_w, node_total, tails, heads, edge_w, edge_total = weights
+    n = block.shape[1]
+    mass = _cluster_sums(block, node_w, n) / node_total
+    same = block[:, tails] == block[:, heads]
+    within = _cluster_sums(block[:, tails], edge_w * same, n) / edge_total
+    terms = criterion.terms(mass, within)
+    # add the clusters in index order, as a Python loop would; a pairwise
+    # np.sum over the zero-padded rows rounds differently
+    values = np.zeros(len(block))
+    for column in terms.T:
+        values += column
+    values[block.max(axis=1) == 0] = 0.0
+    return values
+
+
+def _block_cluster_mi(walk: RandomWalk, block: np.ndarray) -> np.ndarray:
+    """Cluster-level mutual information of each row of a (B, n) assignment array."""
+    n = block.shape[1]
+    f = walk.flows.tocoo()
+    p_i = _cluster_sums(block, walk.p, n)
+    p_ij = _cluster_sums(block[:, f.row] * n + block[:, f.col], f.data, n * n).reshape(-1, n, n)
+    return np.array([
+        mutual_info_clusters(ClusterAggregates(p_i[r, :k], p_ij[r, :k, :k]))
+        for r, k in enumerate(block.max(axis=1) + 1)
+    ])

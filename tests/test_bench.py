@@ -119,6 +119,16 @@ def test_sweep_infeasible_point_yields_nan_rows():
     assert math.isnan(agg.ami_mean)
 
 
+def test_sweep_raises_on_invariant_failures(monkeypatch):
+    # only data errors become nan rows; a broken internal check must surface
+    def broken(*args, **kwargs):
+        raise ValueError("objective value exceeds its cluster-level bound")
+
+    monkeypatch.setattr("walksynth.bench.optimize", broken)
+    with pytest.raises(ValueError, match="cluster-level bound"):
+        run_sweep(small_spec(realizations=1))
+
+
 def test_aggregate_rows_mean_and_std():
     def row(ami, realization):
         return SweepResultRow(

@@ -215,6 +215,23 @@ def test_sweep_runs_grid_and_is_deterministic(tmp_path, capsys):
     assert raw.read_text() == first
 
 
+def test_sweep_failure_warning_goes_to_stderr(tmp_path, capsys):
+    # a community of size 3 cannot host the internal degree k_avg = 4 asks for
+    config = tmp_path / "sweep.json"
+    config.write_text(
+        json.dumps({"community_sizes": [3, 3], "k_avg": 4, "mu": [0.2], "realizations": 1})
+    )
+    rc, stdout, stderr = run(
+        capsys,
+        "sweep", "--config", config,
+        "--out-raw", tmp_path / "r.csv", "--out-agg", tmp_path / "a.csv",
+    )
+    assert rc == 0
+    assert json.loads(stdout) == {"rows": 1, "grid_points": 1, "objectives": ["synthesis"]}
+    assert "warning: mu=0.2 realization=0 failed" in stderr
+    assert "failed grid points: 1" in stderr
+
+
 def test_sweep_rejects_bad_config(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"community_sizes": [4, 4]}))

@@ -28,6 +28,7 @@ from walksynth import (
     synthetic_transition_matrix,
     transition_matrix,
 )
+from walksynth.objective import MODULARITY, SYNTHESIS
 from util import random_connected_graph, random_partition, triangle
 
 LOG2_3_OVER_2 = math.log2(1.5)
@@ -276,6 +277,29 @@ def test_modularity_input_restrictions():
         modularity(g, Partition.singletons(5))
 
 
+def test_modularity_and_its_exhaustive_optimum_match_networkx():
+    nx = pytest.importorskip("networkx")
+    from walksynth import brute_force_optimum, set_partitions
+
+    def nx_modularity(g, assignment):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(g.n))
+        graph.add_edges_from(zip(g.u.tolist(), g.v.tolist()))
+        return nx.community.modularity(graph, Partition(assignment).members())
+
+    rng = np.random.default_rng(97)
+    for _ in range(20):
+        g = random_connected_graph(rng, int(rng.integers(4, 30)), 0.3)
+        part = random_partition(rng, g.n)
+        assert modularity(g, part) == pytest.approx(nx_modularity(g, part.assignment), abs=1e-12)
+    for _ in range(5):
+        g = random_connected_graph(rng, int(rng.integers(4, 8)), 0.4)
+        part, value = brute_force_optimum(g, objective="modularity")
+        best = max(nx_modularity(g, a) for a in set_partitions(g.n))
+        assert value == pytest.approx(best, abs=1e-12)
+        assert nx_modularity(g, part.assignment) == pytest.approx(value, abs=1e-12)
+
+
 # ------------------------------------------------------------ move deltas
 
 def test_delta_true_partition_degrades_when_split():
@@ -308,26 +332,57 @@ def test_delta_move_and_back_cancels():
 
 
 def test_delta_matches_recompute_on_random_moves():
-    rng = np.random.default_rng(59)
-    for _ in range(30):
-        g = random_connected_graph(rng, int(rng.integers(4, 16)), 0.35)
-        w = transition_matrix(g)
-        part = random_partition(rng, g.n)
-        state = FlowMoveState(w, part)
-        for _ in range(20):
-            node = int(rng.integers(0, g.n))
-            a = int(state.assignment[node])
-            candidates = [c for c in np.unique(state.assignment) if c != a]
-            if state.counts[a] > 1:
-                candidates.append(FRESH)
-            if not candidates:
-                continue
-            target = int(candidates[rng.integers(0, len(candidates))])
-            before = full_value(w, state.assignment)
-            gain = state.gain(node, target)
-            state.apply(node, target)
-            after = full_value(w, state.assignment)
-            assert gain == pytest.approx(after - before, abs=1e-9)
+    # both criteria the optimizer moves by, each against a recomputation that
+    # shares no code with the move state (modularity against the edge-count
+    # form, which the flow form equals on unweighted graphs)
+    recompute = {
+        SYNTHESIS: lambda g, w, assignment: full_value(w, assignment),
+        MODULARITY: lambda g, w, assignment: modularity(g, Partition(assignment)),
+    }
+    for criterion, value_of in recompute.items():
+        rng = np.random.default_rng(59)
+        kinds = {"fresh": 0, "emptying": 0, "same": 0, "other": 0}
+        for _ in range(30):
+            g = random_connected_graph(rng, int(rng.integers(4, 16)), 0.35)
+            w = transition_matrix(g)
+            part = random_partition(rng, g.n)
+            state = FlowMoveState(w, part, criterion)
+            for _ in range(20):
+                node = int(rng.integers(0, g.n))
+                a = int(state.assignment[node])
+                candidates = [int(c) for c in np.unique(state.assignment)]
+                if state.counts[a] > 1:
+                    candidates.append(FRESH)
+                target = candidates[rng.integers(0, len(candidates))]
+                if target == a:
+                    kinds["same"] += 1
+                elif target == FRESH:
+                    kinds["fresh"] += 1
+                elif state.counts[a] == 1:
+                    kinds["emptying"] += 1
+                else:
+                    kinds["other"] += 1
+                before = value_of(g, w, state.assignment)
+                gain = state.gain(node, target)
+                state.apply(node, target)
+                after = value_of(g, w, state.assignment)
+                assert gain == pytest.approx(after - before, abs=1e-9)
+        assert min(kinds.values()) > 0, kinds
+
+
+def test_scalar_and_array_terms_agree():
+    masses = [0.0, 1e-12, 0.05, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0]
+    for criterion in (SYNTHESIS, MODULARITY):
+        pairs = []
+        for mass in masses:
+            # stay probabilities below 0 and above 1 (roundoff) clip to 0 and 1
+            for stay in (-1e-3, 0.0, 1e-9, 0.3, mass, 0.99, 1.0, 1.0 + 1e-3):
+                pairs.append((mass, stay * mass))
+        mass_arr, within_arr = np.array(pairs).T
+        arr = criterion.terms(mass_arr, within_arr)
+        assert arr.shape == mass_arr.shape
+        for (mass, within), got in zip(pairs, arr):
+            assert abs(criterion.term(mass, within) - got) <= 1e-15, (mass, within)
 
 
 def test_delta_wrapper_validates_source_cluster():

@@ -20,7 +20,14 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .graph import Graph, InfeasibleModelError, PlantedPartitionParams, planted_partition
+from .graph import (
+    Graph,
+    InfeasibleModelError,
+    PlantedPartitionParams,
+    planted_partition,
+    read_text,
+    write_lines,
+)
 from .metrics import ami, classify_nodes, mixing_parameter, nld
 from .optimizer import OBJECTIVES, OptimizerConfig, optimize
 from .partitions import Partition
@@ -80,11 +87,7 @@ class SweepSpec:
 
     @staticmethod
     def from_json(source: str | Path | IO[str]) -> "SweepSpec":
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            data = json.loads(Path(source).read_text())
-        return SweepSpec.from_dict(data)
+        return SweepSpec.from_dict(json.loads(read_text(source)))
 
 
 @dataclass
@@ -234,20 +237,12 @@ def aggregate_rows(rows: Iterable[SweepResultRow]) -> list[SweepAggRow]:
     return out
 
 
-def _write_lines(lines: list[str], sink: str | Path | IO[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text)
-
-
 def write_raw_csv(rows: list[SweepResultRow], sink: str | Path | IO[str]) -> None:
-    _write_lines([RAW_HEADER] + [r.csv_line() for r in rows], sink)
+    write_lines([RAW_HEADER] + [r.csv_line() for r in rows], sink)
 
 
 def write_agg_csv(rows: list[SweepAggRow], sink: str | Path | IO[str]) -> None:
-    _write_lines([AGG_HEADER] + [r.csv_line() for r in rows], sink)
+    write_lines([AGG_HEADER] + [r.csv_line() for r in rows], sink)
 
 
 def classification_export(
@@ -273,4 +268,4 @@ def classification_export(
             f"{g.labels[node]},{float(g.degrees[node])!r},{nld_true},{nld_pred},"
             f"{mix!r},{int(correct[node])}"
         )
-    _write_lines(lines, sink)
+    write_lines(lines, sink)

@@ -29,6 +29,20 @@ class InfeasibleModelError(ValueError):
     """Planted-partition parameters that cannot be realized as probabilities."""
 
 
+def read_text(source: str | Path | IO[str]) -> str:
+    """Whole text of a file path or of an open text stream."""
+    return source.read() if hasattr(source, "read") else Path(source).read_text()
+
+
+def write_lines(lines: Iterable[str], sink: str | Path | IO[str]) -> None:
+    """Write newline-terminated lines to a file path or an open text stream."""
+    text = "\n".join(lines) + "\n"
+    if hasattr(sink, "write"):
+        sink.write(text)
+    else:
+        Path(sink).write_text(text)
+
+
 @dataclass(eq=False)
 class Graph:
     """Weighted graph over dense node indices 0..n-1.
@@ -115,13 +129,11 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Grap
     edges (unordered duplicates when undirected) have their weights summed.
 
     Raises:
-        EdgeListParseError: on malformed tokens or negative weights, with the
+        EdgeListParseError: on malformed tokens, labels outside [0, 2**63),
+            negative weights or summed weights that overflow, with the
             offending line number.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text().splitlines()
+    lines = read_text(source).splitlines()
 
     label_to_dense: dict[int, int] = {}
     order: dict[tuple[int, int], int] = {}
@@ -147,6 +159,9 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Grap
             raise EdgeListParseError(lineno, f"node labels must be integers: {parts[:2]}") from None
         if a < 0 or b < 0:
             raise EdgeListParseError(lineno, "node labels must be nonnegative")
+        if a >= 2**63 or b >= 2**63:
+            # labels are kept in an int64 array
+            raise EdgeListParseError(lineno, "node labels must be below 2**63")
         if len(parts) == 3:
             try:
                 weight = float(parts[2])
@@ -160,6 +175,8 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Grap
         key = (x, y) if directed or x <= y else (y, x)
         if key in order:
             ws[order[key]] += weight
+            if math.isinf(ws[order[key]]):
+                raise EdgeListParseError(lineno, f"summed weight of edge {a} {b} overflows")
         else:
             order[key] = len(us)
             us.append(key[0])
@@ -191,20 +208,12 @@ def dump_edge_list(g: Graph, sink: str | Path | IO[str]) -> None:
             rows.append(f"{la} {lb}")
         else:
             rows.append(f"{la} {lb} {float(weight)!r}")
-    text = "\n".join(rows) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text)
+    write_lines(rows, sink)
 
 
 def write_label_map(g: Graph, sink: str | Path | IO[str]) -> None:
     """Persist the original-to-dense label map as two-column text."""
-    text = "\n".join(f"{g.labels[i]} {i}" for i in range(g.n)) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text)
+    write_lines((f"{g.labels[i]} {i}" for i in range(g.n)), sink)
 
 
 def density(g: Graph) -> float:

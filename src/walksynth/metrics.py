@@ -9,7 +9,7 @@ from typing import IO
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, write_lines
 from .partitions import Partition
 
 
@@ -253,8 +253,4 @@ def write_cluster_stats_csv(rows: list[ClusterStatsRow], sink: str | Path | IO[s
         lines.append(
             f"{r.cluster},{r.size},{r.density!r},{r.clustering!r},{r.conductance!r},{r.cut_ratio!r}"
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text)
+    write_lines(lines, sink)

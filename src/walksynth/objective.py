@@ -174,15 +174,6 @@ def evaluate_partition(walk: RandomWalk, part: Partition) -> ObjectiveReport:
     return synthesis_objective(agg, node_mi=mutual_info_nodes(walk))
 
 
-def cluster_mi_objective(agg: ClusterAggregates) -> float:
-    """Mutual information of the induced cluster process, in bits.
-
-    A looser criterion than the synthesis objective: it keeps the full
-    cluster-to-cluster flow structure instead of only the stay/leave split.
-    """
-    return mutual_info_clusters(agg)
-
-
 def modularity(g: Graph, part: Partition) -> float:
     """Newman modularity of a partition of an unweighted undirected graph.
 
@@ -299,42 +290,36 @@ class FlowMoveState:
     Tracks the current assignment and supports O(degree) gain evaluation of
     single-node moves plus exact snapshot/restore, which the optimizer uses
     for its tentative move chains.
+
+    Raises:
+        ValueError: a partition of another size, or the asymmetric flows of
+            a directed walk.
     """
 
     def __init__(self, walk: RandomWalk, part: Partition, criterion=SYNTHESIS):
         n = walk.n
         if part.n != n:
             raise ValueError(f"partition covers {part.n} nodes, walk has {n}")
+        f = walk.flows
+        if (abs(f - f.T) > 1e-15).nnz:
+            raise ValueError("move gains need the symmetric flows of an undirected walk")
         self.walk = walk
         self.criterion = criterion
         self.term = criterion.term
         self.node_mass = walk.p.copy()
-        f = walk.flows
         self.self_flow = f.diagonal().copy()
 
+        # per node, its other neighbours and twice the flow to each: the flow
+        # in both directions, as the walk is symmetric
         csr = f.tocsr()
-        csc = f.tocsc()
-        symmetric = (abs(f - f.T) > 1e-15).nnz == 0
-        self.out_idx: list[list[int]] = []
-        self.out_val: list[list[float]] = []
+        self.nbr_idx: list[list[int]] = []
+        self.nbr_flow: list[list[float]] = []
         for a in range(n):
             lo, hi = csr.indptr[a], csr.indptr[a + 1]
             idx = csr.indices[lo:hi]
-            val = csr.data[lo:hi]
             keep = idx != a
-            self.out_idx.append(idx[keep].tolist())
-            self.out_val.append(val[keep].tolist())
-        if symmetric:
-            self.in_idx, self.in_val = self.out_idx, self.out_val
-        else:
-            self.in_idx, self.in_val = [], []
-            for a in range(n):
-                lo, hi = csc.indptr[a], csc.indptr[a + 1]
-                idx = csc.indices[lo:hi]
-                val = csc.data[lo:hi]
-                keep = idx != a
-                self.in_idx.append(idx[keep].tolist())
-                self.in_val.append(val[keep].tolist())
+            self.nbr_idx.append(idx[keep].tolist())
+            self.nbr_flow.append((2.0 * csr.data[lo:hi][keep]).tolist())
 
         self.assignment = part.assignment.copy()
         k = part.num_clusters
@@ -353,16 +338,9 @@ class FlowMoveState:
         cluster holding at least one of its walk neighbors."""
         assign = self.assignment
         flows: dict[int, float] = {}
-        for j, f in zip(self.out_idx[node], self.out_val[node]):
+        for j, f in zip(self.nbr_idx[node], self.nbr_flow[node]):
             c = assign[j]
             flows[c] = flows.get(c, 0.0) + f
-        if self.in_idx is self.out_idx:
-            for c in flows:
-                flows[c] *= 2.0
-        else:
-            for j, f in zip(self.in_idx[node], self.in_val[node]):
-                c = assign[j]
-                flows[c] = flows.get(c, 0.0) + f
         return flows
 
     def gain(self, node: int, to_cluster: int, flows: dict[int, float] | None = None) -> float:
@@ -443,15 +421,3 @@ class FlowMoveState:
             snap[4],
         )
         self.free_ids = list(free)
-
-
-def synthesis_delta_move(state: FlowMoveState, node: int, from_cluster: int, to_cluster: int) -> float:
-    """Gain of moving one node between clusters under the synthesis
-    objective, evaluated incrementally against the state's caches.
-
-    Raises:
-        ValueError: ``from_cluster`` disagrees with the state's assignment.
-    """
-    if int(state.assignment[node]) != from_cluster:
-        raise ValueError(f"node {node} is in cluster {state.assignment[node]}, not {from_cluster}")
-    return state.gain(node, to_cluster)

@@ -33,6 +33,12 @@ OBJECTIVES = ("synthesis", "modularity", "cluster_mi")
 #: Levels at most this large also get the chained-move escape phase.
 CHAIN_NODE_CAP = 128
 
+#: Smallest change in value that counts as an improvement.
+MIN_GAIN = 1e-12
+
+#: Most refine-then-coarsen rounds one search runs.
+MAX_ROUNDS = 100
+
 #: Partitions scored per numpy call by the exhaustive search.
 ORACLE_BLOCK = 4096
 
@@ -41,19 +47,10 @@ ORACLE_BLOCK = 4096
 class OptimizerConfig:
     objective: str = "synthesis"
     seed: int = 0
-    max_outer_passes: int = 100
-    min_gain: float = 1e-12
-    node_order: str = "random-shuffle"
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
-        if self.max_outer_passes < 1:
-            raise ValueError("max_outer_passes must be at least 1")
-        if not self.min_gain > 0.0:
-            raise ValueError("min_gain must be positive")
-        if self.node_order not in ("random-shuffle", "index"):
-            raise ValueError("node_order must be 'random-shuffle' or 'index'")
 
 
 def _best_move(state: FlowMoveState, node: int, min_gain: float):
@@ -74,25 +71,22 @@ def _best_move(state: FlowMoveState, node: int, min_gain: float):
     return best_gain, best
 
 
-def _local_moving(state: FlowMoveState, rng: np.random.Generator, cfg: OptimizerConfig) -> bool:
+def _local_moving(state: FlowMoveState, rng: np.random.Generator) -> None:
     n = len(state.assignment)
     order = np.arange(n)
-    moved_any = False
     while True:
-        if cfg.node_order == "random-shuffle":
-            rng.shuffle(order)
+        rng.shuffle(order)
         moves = 0
         for node in order.tolist():
-            _, target = _best_move(state, node, cfg.min_gain)
+            _, target = _best_move(state, node, MIN_GAIN)
             if target is not None:
                 state.apply(node, target)
                 moves += 1
         if moves == 0:
-            return moved_any
-        moved_any = True
+            return
 
 
-def _chain_pass(state: FlowMoveState, min_gain: float) -> bool:
+def _chain_pass(state: FlowMoveState) -> bool:
     """Tentatively chain best moves (each node at most once), then keep the
     best prefix if it improved; otherwise roll everything back."""
     n = len(state.assignment)
@@ -120,16 +114,15 @@ def _chain_pass(state: FlowMoveState, min_gain: float) -> bool:
         if cum > best_cum:
             best_cum = cum
             best_len = len(seq)
-    if best_cum > min_gain:
-        state.restore(snap)
-        for node, target in seq[:best_len]:
-            state.apply(node, target)
-        return True
     state.restore(snap)
-    return False
+    if best_cum <= MIN_GAIN:
+        return False
+    for node, target in seq[:best_len]:
+        state.apply(node, target)
+    return True
 
 
-def _merge_chain(state: FlowMoveState, min_gain: float) -> bool:
+def _merge_chain(state: FlowMoveState) -> bool:
     """Merge the least-bad adjacent cluster pair all the way down, then keep
     the best prefix if it gained; complements single-node chains, which
     cannot coordinate multi-node regroupings."""
@@ -144,52 +137,34 @@ def _merge_chain(state: FlowMoveState, min_gain: float) -> bool:
     coo = state.walk.flows.tocoo()
     np.add.at(F, (asg[coo.row], asg[coo.col]), coo.data)
     F = 0.5 * (F + F.T)
+    # the merge sequence is simulated on cluster masses and flows F alone
+    m = state.mass[ids]
+    alive = np.ones(k, dtype=bool)
 
-    sim = _SimState(state, ids, F)
     seq: list[tuple[int, int]] = []
     cum, best_cum, best_len = 0.0, 0.0, 0
     for _ in range(k - 1):
-        step = sim.best_merge()
-        if step is None:
+        deltas = _merge_deltas_live(state.criterion, m, F, alive)
+        i, j = np.unravel_index(int(np.argmax(deltas)), deltas.shape)
+        if not np.isfinite(deltas[i, j]):
             break
-        delta, i, j = step
-        sim.merge(i, j)
+        cum += float(deltas[i, j])
+        F[i, :] += F[j, :]
+        F[:, i] += F[:, j]
+        F[j, :] = 0.0
+        F[:, j] = 0.0
+        m[i] += m[j]
+        m[j] = 0.0
+        alive[j] = False
         seq.append((int(ids[i]), int(ids[j])))
-        cum += delta
         if cum > best_cum:
             best_cum, best_len = cum, len(seq)
-    if best_cum <= min_gain:
+    if best_cum <= MIN_GAIN:
         return False
     for target, source in seq[:best_len]:
         for node in np.flatnonzero(state.assignment == source).tolist():
             state.apply(node, target)
     return True
-
-
-class _SimState:
-    """Cluster-level scratchpad for simulating a merge sequence."""
-
-    def __init__(self, state: FlowMoveState, ids: np.ndarray, F: np.ndarray):
-        self.criterion = state.criterion
-        self.F = F
-        self.m = state.mass[ids].astype(float)
-        self.alive = np.ones(len(ids), dtype=bool)
-
-    def best_merge(self):
-        deltas = _merge_deltas_live(self.criterion, self.m, self.F, self.alive)
-        i, j = np.unravel_index(int(np.argmax(deltas)), deltas.shape)
-        if not np.isfinite(deltas[i, j]):
-            return None
-        return float(deltas[i, j]), int(i), int(j)
-
-    def merge(self, i: int, j: int) -> None:
-        self.F[i, :] += self.F[j, :]
-        self.F[:, i] += self.F[:, j]
-        self.F[j, :] = 0.0
-        self.F[:, j] = 0.0
-        self.m[i] += self.m[j]
-        self.m[j] = 0.0
-        self.alive[j] = False
 
 
 def _merge_deltas_live(criterion, m: np.ndarray, F: np.ndarray, alive: np.ndarray) -> np.ndarray:
@@ -207,17 +182,17 @@ def _merge_deltas_live(criterion, m: np.ndarray, F: np.ndarray, alive: np.ndarra
     return deltas
 
 
-def _refine_level(state: FlowMoveState, rng: np.random.Generator, cfg: OptimizerConfig) -> None:
-    _local_moving(state, rng, cfg)
+def _refine_level(state: FlowMoveState, rng: np.random.Generator) -> None:
+    _local_moving(state, rng)
     if len(state.assignment) > CHAIN_NODE_CAP:
         return
     while True:
         changed = False
-        if _merge_chain(state, cfg.min_gain):
-            _local_moving(state, rng, cfg)
+        if _merge_chain(state):
+            _local_moving(state, rng)
             changed = True
-        if _chain_pass(state, cfg.min_gain):
-            _local_moving(state, rng, cfg)
+        if _chain_pass(state):
+            _local_moving(state, rng)
             changed = True
         if not changed:
             return
@@ -234,22 +209,12 @@ def _aggregate_graph(walk: RandomWalk, part: Partition) -> Graph:
     """Super-node graph whose induced walk reproduces the aggregated flows,
     so objective values computed on it equal the flat ones."""
     agg = cluster_aggregates(walk, part)
-    k = agg.num_clusters
     f = agg.p_ij
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    for i in range(k):
-        if f[i, i] > 0.0:
-            us.append(i)
-            vs.append(i)
-            ws.append(f[i, i] / 2.0)
-        for j in range(i + 1, k):
-            if f[i, j] > 0.0:
-                us.append(i)
-                vs.append(j)
-                ws.append(f[i, j])
-    return Graph(n=k, u=np.array(us), v=np.array(vs), w=np.array(ws), directed=False)
+    # row by row, each self-loop ahead of the edges to higher clusters
+    u, v = np.nonzero(np.triu(f > 0.0))
+    # an undirected self-loop counts twice in its node's degree
+    w = np.where(u == v, f[u, v] / 2.0, f[u, v])
+    return Graph(n=agg.num_clusters, u=u, v=v, w=w, directed=False)
 
 
 def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, ObjectiveReport]:
@@ -259,6 +224,12 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     original walk, then coarsens it through merge-only rounds on aggregated
     graphs. Rounds repeat until the objective stops improving (or the round
     cap is hit). Deterministic for a given config.
+
+    The search settings are fixed: 16 restarts on graphs of at most
+    CHAIN_NODE_CAP = 128 nodes (the first from singletons, the rest from
+    random partitions) and 4 from singletons on larger ones; the chained-move
+    and merge escapes on every level of at most 128 nodes; a minimum gain of
+    MIN_GAIN = 1e-12; at most MAX_ROUNDS = 100 rounds per restart.
 
     ``cfg.objective`` names the criterion searched. Under "cluster_mi" no
     search runs: by the data processing inequality no coarsening raises the
@@ -283,9 +254,8 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     criterion = CRITERIA[cfg.objective]
     rng = np.random.default_rng(cfg.seed)
 
-    restarts = 1 if cfg.node_order == "index" else _restart_count(g.n)
     best_part, best_value = None, -np.inf
-    for i in range(restarts):
+    for i in range(16 if g.n <= CHAIN_NODE_CAP else 4):
         if i == 0 or g.n > CHAIN_NODE_CAP:
             init = Partition.singletons(g.n)
         else:
@@ -293,40 +263,34 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
             # singletons loses; random starts land in other basins
             k = int(rng.integers(1, g.n + 1))
             init = Partition(rng.integers(0, k, size=g.n))
-        part, value = _search_rounds(walk0, init, rng, cfg, criterion)
-        if value > best_value + cfg.min_gain:
+        part, value = _search_rounds(walk0, init, rng, criterion)
+        if value > best_value + MIN_GAIN:
             best_part, best_value = part, value
     return best_part, evaluate_partition(walk0, best_part)
 
 
-def _restart_count(n: int) -> int:
-    if n <= CHAIN_NODE_CAP:
-        return 16
-    return 4
-
-
 def _search_rounds(
-    walk0: RandomWalk, init: Partition, rng: np.random.Generator, cfg: OptimizerConfig, criterion
+    walk0: RandomWalk, init: Partition, rng: np.random.Generator, criterion
 ) -> tuple[Partition, float]:
     part = init
     value = -np.inf
-    for _ in range(cfg.max_outer_passes):
+    for _ in range(MAX_ROUNDS):
         # single-node moves on the original walk; this is also what undoes
         # merges that an earlier round's aggregation locked in
         state = FlowMoveState(walk0, part, criterion)
-        _refine_level(state, rng, cfg)
+        _refine_level(state, rng)
         part = state.partition()
         # merge rounds on progressively coarser graphs
         while part.num_clusters > 1:
             level_walk = transition_matrix(_aggregate_graph(walk0, part))
             st = FlowMoveState(level_walk, Partition.singletons(part.num_clusters), criterion)
-            _refine_level(st, rng, cfg)
+            _refine_level(st, rng)
             sub = st.partition()
             if sub.num_clusters == part.num_clusters:
                 break
             part = Partition(sub.assignment[part.assignment])
         new_value = _partition_value(walk0, part, criterion)
-        if new_value <= value + cfg.min_gain:
+        if new_value <= value + MIN_GAIN:
             break
         value = new_value
     return part, value

@@ -8,6 +8,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .graph import read_text, write_lines
+
 
 class Partition:
     """Assignment of dense node indices to clusters 0..K-1.
@@ -67,21 +69,13 @@ def write_partition(sink: str | Path | IO[str], labels: np.ndarray, part: Partit
     """Write one ``node_label cluster_index`` line per node in dense order."""
     if len(labels) != part.n:
         raise ValueError("label array and partition cover different node counts")
-    text = "\n".join(f"{labels[i]} {part.assignment[i]}" for i in range(part.n)) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text)
+    write_lines((f"{labels[i]} {part.assignment[i]}" for i in range(part.n)), sink)
 
 
 def read_partition_labels(source: str | Path | IO[str]) -> dict[int, int]:
     """Read a partition file into an original-label -> cluster mapping."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text().splitlines()
     mapping: dict[int, int] = {}
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(read_text(source).splitlines(), 1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
@@ -92,6 +86,9 @@ def read_partition_labels(source: str | Path | IO[str]) -> dict[int, int]:
             label, cluster = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: labels and clusters must be integers") from None
+        if not -(2**63) <= cluster < 2**63:
+            # a Partition keeps its clusters in an int64 array
+            raise ValueError(f"line {lineno}: cluster {cluster} does not fit in 64 bits")
         if label in mapping:
             raise ValueError(f"line {lineno}: duplicate node label {label}")
         mapping[label] = cluster

@@ -94,6 +94,15 @@ def test_eval_rejects_foreign_node_labels(triangles, tmp_path, capsys):
 
 # --------------------------------------------------------------------- stats
 
+def test_stats_rejects_cluster_ids_beyond_64_bits(triangles, tmp_path, capsys):
+    graph, _ = triangles
+    part = tmp_path / "huge.txt"
+    part.write_text("0 0\n1 100000000000000000000000\n2 0\n3 1\n4 1\n5 1\n")
+    rc, _, stderr = run(capsys, "stats", "--graph", graph, "--partition", part)
+    assert rc == 2
+    assert "line 2" in stderr
+
+
 def test_stats_two_triangles(triangles, tmp_path, capsys):
     graph, truth = triangles
     csv = tmp_path / "stats.csv"

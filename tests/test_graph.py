@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walksynth import (
     EdgeListParseError,
@@ -76,6 +78,8 @@ def test_parse_remaps_labels_in_first_appearance_order():
         ("0 1\n1 2 w\n", 2),
         ("0 -1\n", 1),
         ("0 1\n2 3 inf\n", 2),
+        ("0 1\n0 100000000000000000000000\n", 2),
+        ("0 1 1e308\n1 0 1e308\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
@@ -87,6 +91,26 @@ def test_parse_errors_carry_line_numbers(text, lineno):
 def test_parse_empty_input_is_an_error():
     with pytest.raises(EdgeListParseError):
         parse("# nothing here\n")
+
+
+_TOKENS = st.one_of(
+    # the int64 limits are drawn on their own: a plain draw from a range this
+    # wide reaches 2**63 in about 1 % of tokens
+    st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([2**63 - 1, 2**63, 2**70])).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789-+.eEx#_", min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(_TOKENS, min_size=1, max_size=4), max_size=6), st.booleans())
+def test_parse_returns_a_graph_or_raises_a_parse_error(rows, directed):
+    text = "\n".join(" ".join(tokens) for tokens in rows)
+    try:
+        g = parse(text, directed=directed)
+    except EdgeListParseError:
+        return
+    assert isinstance(g, Graph)
 
 
 def test_roundtrip_is_idempotent():

@@ -14,7 +14,6 @@ from walksynth import (
     Partition,
     SyntheticWalkParams,
     cluster_aggregates,
-    cluster_mi_objective,
     disconnected_cliques,
     evaluate_partition,
     kld_rate,
@@ -23,7 +22,6 @@ from walksynth import (
     mutual_info_nodes,
     objective_identity_check,
     optimal_parameters,
-    synthesis_delta_move,
     synthesis_objective,
     synthetic_transition_matrix,
     transition_matrix,
@@ -91,8 +89,8 @@ def test_objective_label_permutation_invariance():
     b = evaluate_partition(w, relabeled)
     assert a.value == pytest.approx(b.value, abs=1e-12)
     assert modularity(g, part) == pytest.approx(modularity(g, relabeled), abs=1e-12)
-    assert cluster_mi_objective(cluster_aggregates(w, part)) == pytest.approx(
-        cluster_mi_objective(cluster_aggregates(w, relabeled)), abs=1e-12
+    assert mutual_info_clusters(cluster_aggregates(w, part)) == pytest.approx(
+        mutual_info_clusters(cluster_aggregates(w, relabeled)), abs=1e-12
     )
 
 
@@ -385,15 +383,6 @@ def test_scalar_and_array_terms_agree():
             assert abs(criterion.term(mass, within) - got) <= 1e-15, (mass, within)
 
 
-def test_delta_wrapper_validates_source_cluster():
-    g, part = disconnected_cliques([3, 3])
-    state = FlowMoveState(transition_matrix(g), part)
-    with pytest.raises(ValueError):
-        synthesis_delta_move(state, node=0, from_cluster=1, to_cluster=0)
-    delta = synthesis_delta_move(state, node=0, from_cluster=0, to_cluster=1)
-    assert delta < 0.0
-
-
 def test_state_value_matches_fresh_evaluation():
     rng = np.random.default_rng(61)
     for _ in range(20):
@@ -443,9 +432,3 @@ def test_state_snapshot_restore_is_exact():
     state.restore(snap)
     assert state.value() == before
     assert np.array_equal(state.assignment, snap[0])
-
-
-def test_cluster_mi_objective_matches_walk_function():
-    g, part = disconnected_cliques([3, 4])
-    agg = cluster_aggregates(transition_matrix(g), part)
-    assert cluster_mi_objective(agg) == mutual_info_clusters(agg)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from walksynth import (
+    FlowMoveState,
     Graph,
     OptimizerConfig,
     Partition,
@@ -55,17 +56,6 @@ def test_determinism_same_seed_same_result():
     assert a_report.value == b_report.value
 
 
-def test_index_order_is_deterministic_too():
-    # index order runs a single pass with no shuffling; it trades search
-    # quality for a trajectory that does not depend on the seed at all
-    g, _ = disconnected_cliques([3, 3])
-    part, report = optimize(g, OptimizerConfig(node_order="index"))
-    again, report2 = optimize(g, OptimizerConfig(node_order="index", seed=99))
-    assert part == again
-    assert report.value == report2.value
-    assert 0.0 <= report.value <= report.bound_node_mi + 1e-9
-
-
 def test_complete_graph_keeps_singletons():
     # uniform rows: every node is its own best cluster, J hits the node MI
     g = complete_graph(6)
@@ -103,15 +93,17 @@ def test_rejects_directed_graphs():
         optimize(g)
 
 
+def test_move_state_rejects_directed_walks():
+    # gains count each neighbour's flow both ways as twice the one-way flow,
+    # which holds only on a symmetric walk
+    g = Graph(n=3, u=np.array([0, 1, 2]), v=np.array([1, 2, 0]), w=np.ones(3), directed=True)
+    with pytest.raises(ValueError, match="symmetric"):
+        FlowMoveState(transition_matrix(g), Partition.singletons(3))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(objective="louvain")
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_outer_passes=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(min_gain=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(node_order="degree")
 
 
 def test_planted_partition_midnoise_recovery():

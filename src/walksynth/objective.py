@@ -10,6 +10,7 @@ cluster-level mutual information are carried as comparison criteria.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,9 +288,12 @@ class FlowMoveState:
     """Incremental evaluator for criteria that depend only on each cluster's
     stationary mass and within-cluster flow.
 
-    Tracks the current assignment and supports O(degree) gain evaluation of
-    single-node moves plus exact snapshot/restore, which the optimizer uses
-    for its tentative move chains.
+    Tracks the current assignment, each cluster's mass, within-cluster flow,
+    size and current criterion term (``cluster_terms``, kept equal to
+    ``term(mass[c], within[c])`` bit for bit), and supports O(degree) gain
+    evaluation of single-node moves plus exact snapshot/restore, which the
+    optimizer uses for its tentative move chains. A move targets an active
+    cluster (one with members) or FRESH, a new singleton.
 
     Raises:
         ValueError: a partition of another size, or the asymmetric flows of
@@ -323,14 +327,18 @@ class FlowMoveState:
 
         self.assignment = part.assignment.copy()
         k = part.num_clusters
-        self.mass = np.zeros(n, dtype=np.float64)
-        self.within = np.zeros(n, dtype=np.float64)
+        mass = np.zeros(n, dtype=np.float64)
+        within = np.zeros(n, dtype=np.float64)
         self.counts = np.zeros(n, dtype=np.int64)
-        np.add.at(self.mass, self.assignment, walk.p)
+        np.add.at(mass, self.assignment, walk.p)
         coo = f.tocoo()
         same = self.assignment[coo.row] == self.assignment[coo.col]
-        np.add.at(self.within, self.assignment[coo.row[same]], coo.data[same])
+        np.add.at(within, self.assignment[coo.row[same]], coo.data[same])
         np.add.at(self.counts, self.assignment, 1)
+        # per cluster id, Python floats: a gain scan reads them one at a time
+        self.mass: list[float] = mass.tolist()
+        self.within: list[float] = within.tolist()
+        self.cluster_terms = [self.term(m, w) for m, w in zip(self.mass, self.within)]
         self.free_ids = [c for c in range(n - 1, k - 1, -1)]
 
     def flows_to_clusters(self, node: int) -> dict[int, float]:
@@ -343,36 +351,59 @@ class FlowMoveState:
             flows[c] = flows.get(c, 0.0) + f
         return flows
 
-    def gain(self, node: int, to_cluster: int, flows: dict[int, float] | None = None) -> float:
-        """Objective change from moving ``node`` into ``to_cluster``
-        (FRESH for a new singleton), leaving everything else fixed."""
+    def _check_target(self, to_cluster: int) -> None:
+        if to_cluster != FRESH and not (
+            0 <= to_cluster < len(self.counts) and self.counts[to_cluster] > 0
+        ):
+            raise ValueError(f"move target {to_cluster} is neither FRESH nor an active cluster")
+
+    def gains(self, node: int, targets: Iterable[int], flows: dict[int, float]) -> Iterator[float]:
+        """Yield the objective change from moving ``node`` into each of
+        ``targets`` in turn: active clusters other than its own, or FRESH.
+        ``flows`` is ``flows_to_clusters(node)``. The source side is priced
+        once, and each target by one criterion term."""
         a = int(self.assignment[node])
-        if to_cluster == a:
+        p = float(self.node_mass[node])
+        sl = float(self.self_flow[node])
+        term, mass, within, cluster_terms = self.term, self.mass, self.within, self.cluster_terms
+        old_a = cluster_terms[a]
+        if self.counts[a] == 1:
+            new_a = 0.0
+        else:
+            new_a = term(mass[a] - p, within[a] - flows.get(a, 0.0) - sl)
+        for c in targets:
+            new = new_a
+            old = old_a
+            if c == FRESH:
+                new += term(p, sl)
+            else:
+                new += term(mass[c] + p, within[c] + flows.get(c, 0.0) + sl)
+                old += cluster_terms[c]
+            yield new - old
+
+    def gain(self, node: int, to_cluster: int, flows: dict[int, float] | None = None) -> float:
+        """Objective change from moving ``node`` into ``to_cluster`` (an
+        active cluster, or FRESH for a new singleton), leaving everything
+        else fixed.
+
+        Raises:
+            ValueError: a target that is neither FRESH nor an active cluster.
+        """
+        self._check_target(to_cluster)
+        if to_cluster == self.assignment[node]:
             return 0.0
         if flows is None:
             flows = self.flows_to_clusters(node)
-        p = float(self.node_mass[node])
-        sl = float(self.self_flow[node])
-        f_a = flows.get(a, 0.0)
-        mass_a = float(self.mass[a])
-        within_a = float(self.within[a])
-        old = self.term(mass_a, within_a)
-        if self.counts[a] == 1:
-            new = 0.0
-        else:
-            new = self.term(mass_a - p, within_a - f_a - sl)
-        if to_cluster == FRESH:
-            new += self.term(p, sl)
-        else:
-            f_b = flows.get(to_cluster, 0.0)
-            mass_b = float(self.mass[to_cluster])
-            within_b = float(self.within[to_cluster])
-            old += self.term(mass_b, within_b)
-            new += self.term(mass_b + p, within_b + f_b + sl)
-        return new - old
+        return next(self.gains(node, (to_cluster,), flows))
 
     def apply(self, node: int, to_cluster: int) -> int:
-        """Move the node; returns the concrete target cluster id."""
+        """Move the node into an active cluster or FRESH; returns the
+        concrete target cluster id.
+
+        Raises:
+            ValueError: a target that is neither FRESH nor an active cluster.
+        """
+        self._check_target(to_cluster)
         a = int(self.assignment[node])
         if to_cluster == FRESH:
             to_cluster = self.free_ids.pop()
@@ -394,11 +425,14 @@ class FlowMoveState:
         self.within[to_cluster] += flows.get(to_cluster, 0.0) + sl
         self.counts[to_cluster] += 1
         self.assignment[node] = to_cluster
+        for c in (a, to_cluster):
+            self.cluster_terms[c] = self.term(self.mass[c], self.within[c])
         return to_cluster
 
     def value(self) -> float:
         active = np.nonzero(self.counts)[0]
-        return float(np.sum(self.criterion.terms(self.mass[active], self.within[active])))
+        mass, within = np.array(self.mass)[active], np.array(self.within)[active]
+        return float(np.sum(self.criterion.terms(mass, within)))
 
     def partition(self) -> Partition:
         return Partition(self.assignment)
@@ -406,18 +440,19 @@ class FlowMoveState:
     def snapshot(self) -> tuple:
         return (
             self.assignment.copy(),
-            self.mass.copy(),
-            self.within.copy(),
+            list(self.mass),
+            list(self.within),
             self.counts.copy(),
             list(self.free_ids),
+            list(self.cluster_terms),
         )
 
     def restore(self, snap: tuple) -> None:
-        self.assignment, self.mass, self.within, self.counts, free = (
+        self.assignment, self.mass, self.within, self.counts = (
             snap[0].copy(),
-            snap[1].copy(),
-            snap[2].copy(),
+            list(snap[1]),
+            list(snap[2]),
             snap[3].copy(),
-            snap[4],
         )
-        self.free_ids = list(free)
+        self.free_ids = list(snap[4])
+        self.cluster_terms = list(snap[5])

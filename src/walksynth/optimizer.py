@@ -57,17 +57,17 @@ def _best_move(state: FlowMoveState, node: int, min_gain: float):
     flows = state.flows_to_clusters(node)
     a = int(state.assignment[node])
     targets = np.flatnonzero(state.counts > 0).tolist() if state.criterion.dense_targets else flows
+    targets = [c for c in targets if c != a]
+    if state.counts[a] > 1:
+        targets.append(FRESH)
+    # gains() adds each target's terms after the source side's, in one fixed
+    # order: float addition is not associative, so another order would move
+    # gains by an ulp, change which near-tied move wins the first strict >,
+    # and with it the partitions found
     best_gain, best = min_gain, None
-    for c in targets:
-        if c == a:
-            continue
-        g = state.gain(node, c, flows)
+    for c, g in zip(targets, state.gains(node, targets, flows)):
         if g > best_gain:
             best_gain, best = g, c
-    if state.counts[a] > 1:
-        g = state.gain(node, FRESH, flows)
-        if g > best_gain:
-            best_gain, best = g, FRESH
     return best_gain, best
 
 
@@ -138,7 +138,7 @@ def _merge_chain(state: FlowMoveState) -> bool:
     np.add.at(F, (asg[coo.row], asg[coo.col]), coo.data)
     F = 0.5 * (F + F.T)
     # the merge sequence is simulated on cluster masses and flows F alone
-    m = state.mass[ids]
+    m = np.array(state.mass)[ids]
     alive = np.ones(k, dtype=bool)
 
     seq: list[tuple[int, int]] = []

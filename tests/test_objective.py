@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walksynth import (
     FRESH,
@@ -27,6 +29,7 @@ from walksynth import (
     transition_matrix,
 )
 from walksynth.objective import MODULARITY, SYNTHESIS
+from walksynth.optimizer import _best_move
 from util import random_connected_graph, random_partition, triangle
 
 LOG2_3_OVER_2 = math.log2(1.5)
@@ -325,7 +328,8 @@ def test_delta_move_and_back_cancels():
         b = int(targets[rng.integers(0, len(targets))])
         d1 = state.gain(node, b)
         state.apply(node, b)
-        d2 = state.gain(node, a)
+        # a move into an emptied cluster is a FRESH move
+        d2 = state.gain(node, a if state.counts[a] else FRESH)
         assert d1 + d2 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -422,6 +426,7 @@ def test_state_snapshot_restore_is_exact():
     state = FlowMoveState(w, random_partition(rng, g.n))
     snap = state.snapshot()
     before = state.value()
+    terms_before = list(state.cluster_terms)
     for _ in range(10):
         node = int(rng.integers(0, g.n))
         if rng.random() < 0.3:
@@ -432,3 +437,78 @@ def test_state_snapshot_restore_is_exact():
     state.restore(snap)
     assert state.value() == before
     assert np.array_equal(state.assignment, snap[0])
+    assert state.cluster_terms == terms_before
+
+
+def test_state_rejects_moves_into_inactive_clusters():
+    # an empty id is not a target: moving into one used to leave it among
+    # the free ids, so a later FRESH move landed in an occupied cluster and
+    # its gain priced the wrong move
+    g, _ = disconnected_cliques([3, 3])
+    state = FlowMoveState(transition_matrix(g), Partition([0, 0, 0, 1, 1, 1]))
+    before = state.snapshot()
+    for target in (5, 2, 6, -2):
+        with pytest.raises(ValueError, match="neither FRESH nor an active cluster"):
+            state.gain(0, target)
+        with pytest.raises(ValueError, match="neither FRESH nor an active cluster"):
+            state.apply(0, target)
+    assert np.array_equal(state.assignment, before[0])
+    assert state.free_ids == before[4]
+    for node in (1, 3, 4):
+        state.apply(node, FRESH)
+    value = state.value()
+    gain = state.gain(5, FRESH)
+    fresh = state.apply(5, FRESH)
+    assert state.counts[fresh] == 1
+    assert len(np.unique(state.assignment)) == int((state.counts > 0).sum()) == 5
+    assert state.value() - value == pytest.approx(gain, abs=1e-12)
+
+
+_STATE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["move", "fresh", "snapshot", "restore"]),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([SYNTHESIS, MODULARITY]), st.integers(0, 2**32 - 1), st.integers(3, 12),
+       _STATE_OPS)
+def test_cached_terms_and_best_move_match_lone_gains(criterion, seed, n, ops):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, 0.4)
+    state = FlowMoveState(transition_matrix(g), random_partition(rng, n), criterion)
+    snap = state.snapshot()
+    for op, i, j in ops:
+        node = i % n
+        if op == "move":
+            # any active cluster: the node's own, another, or one it empties
+            active = np.flatnonzero(state.counts > 0)
+            state.apply(node, int(active[j % len(active)]))
+        elif op == "fresh" and state.free_ids:
+            state.apply(node, FRESH)
+        elif op == "snapshot":
+            snap = state.snapshot()
+        elif op == "restore":
+            state.restore(snap)
+        for c in range(n):
+            assert state.cluster_terms[c] == criterion.term(state.mass[c], state.within[c]), c
+
+        # the scan's choice is the first strict maximum of gain() in scan order
+        node = j % n
+        a = int(state.assignment[node])
+        if criterion.dense_targets:
+            order = np.flatnonzero(state.counts > 0).tolist()
+        else:
+            order = list(state.flows_to_clusters(node))
+        order = [c for c in order if c != a] + ([FRESH] if state.counts[a] > 1 else [])
+        best_gain, best = -math.inf, None
+        for c in order:
+            gain = state.gain(node, c)
+            if gain > best_gain:
+                best_gain, best = gain, c
+        got_gain, got = _best_move(state, node, -math.inf)
+        assert (got, repr(got_gain)) == (best, repr(best_gain))

@@ -47,16 +47,15 @@ def write_lines(lines: Iterable[str], sink: str | Path | IO[str]) -> None:
 class Graph:
     """Weighted graph over dense node indices 0..n-1.
 
-    Undirected edges are stored once with u <= v. Self-loops are allowed and
-    contribute their weight twice to an undirected degree, so that the lazy
-    random walk's stationary distribution stays proportional to degree.
+    Edges are undirected and stored once with u <= v. Self-loops are allowed
+    and contribute their weight twice to a degree, so that the lazy random
+    walk's stationary distribution stays proportional to degree.
     """
 
     n: int
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    directed: bool = False
     labels: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -92,11 +91,8 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> sparse.csr_matrix:
-        """Weighted adjacency; undirected graphs are symmetrized and their
-        self-loop entries doubled so row sums equal degrees."""
-        if self.directed:
-            a = sparse.coo_matrix((self.w, (self.u, self.v)), shape=(self.n, self.n))
-            return a.tocsr()
+        """Symmetric weighted adjacency, self-loop entries doubled so row
+        sums equal degrees."""
         loops = self.u == self.v
         data = np.concatenate([self.w[~loops], self.w[~loops], 2.0 * self.w[loops]])
         rows = np.concatenate([self.u[~loops], self.v[~loops], self.u[loops]])
@@ -106,8 +102,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Per-node degree: incident weight sum, self-loops counted twice
-        (undirected) or once into the out-degree (directed)."""
+        """Per-node degree: incident weight sum, self-loops counted twice."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
     def degree(self, node: int) -> float:
@@ -121,12 +116,12 @@ class Graph:
         return {int(lab): i for i, lab in enumerate(self.labels)}
 
 
-def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Graph:
+def load_edge_list(source: str | Path | IO[str]) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
     Each data line is ``u v`` or ``u v weight`` with nonnegative integer
-    labels; lines starting with ``#`` and blank lines are skipped. Duplicate
-    edges (unordered duplicates when undirected) have their weights summed.
+    labels; lines starting with ``#`` and blank lines are skipped. Edges are
+    undirected: duplicates in either orientation have their weights summed.
 
     Raises:
         EdgeListParseError: on malformed tokens, labels outside [0, 2**63),
@@ -172,7 +167,7 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Grap
         else:
             weight = 1.0
         x, y = dense(a), dense(b)
-        key = (x, y) if directed or x <= y else (y, x)
+        key = (x, y) if x <= y else (y, x)
         if key in order:
             ws[order[key]] += weight
             if math.isinf(ws[order[key]]):
@@ -193,7 +188,6 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Grap
         u=np.array(us, dtype=np.int64),
         v=np.array(vs, dtype=np.int64),
         w=np.array(ws, dtype=np.float64),
-        directed=directed,
         labels=labels,
     )
 
@@ -220,10 +214,8 @@ def density(g: Graph) -> float:
     """Fraction of distinct node pairs joined by an edge; self-loops excluded.
 
     Raises:
-        ValueError: for directed graphs or n < 2.
+        ValueError: n < 2.
     """
-    if g.directed:
-        raise ValueError("density is defined for undirected graphs only")
     if g.n < 2:
         raise ValueError("density needs at least two nodes")
     m = int(np.count_nonzero(g.u != g.v))
@@ -231,10 +223,7 @@ def density(g: Graph) -> float:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted node lists, ordered by smallest member.
-
-    Directed graphs are treated as weakly connected (edge direction ignored).
-    """
+    """Connected components as sorted node lists, ordered by smallest member."""
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -345,7 +334,7 @@ def planted_partition(params: PlantedPartitionParams, seed: int):
 
     u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-    g = Graph(n=n, u=u, v=v, w=np.ones(len(u)), directed=False)
+    g = Graph(n=n, u=u, v=v, w=np.ones(len(u)))
     return g, Partition(assignment)
 
 

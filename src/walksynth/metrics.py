@@ -121,8 +121,6 @@ def classify_nodes(
 
 
 def _require_simple(g: Graph, what: str) -> None:
-    if g.directed:
-        raise ValueError(f"{what} is defined here for undirected graphs only")
     if not g.is_unweighted:
         raise ValueError(f"{what} is defined here for unweighted graphs only")
 
@@ -131,7 +129,7 @@ def mixing_parameter(g: Graph, part: Partition, node: int) -> float:
     """Fraction of a node's links that leave its cluster.
 
     Raises:
-        ValueError: weighted or directed graph, or zero-degree node.
+        ValueError: weighted graph, or zero-degree node.
     """
     _require_simple(g, "the mixing parameter")
     if part.n != g.n:
@@ -182,7 +180,7 @@ def cluster_stats(g: Graph, part: Partition, min_size: int = 3) -> list[ClusterS
     ``whole_graph`` flag when S covers the whole graph.
 
     Raises:
-        ValueError: weighted or directed graph.
+        ValueError: weighted graph.
     """
     _require_simple(g, "cluster statistics")
     if part.n != g.n:

@@ -99,8 +99,6 @@ class _Modularity:
     def weights(g: Graph) -> tuple:
         # exact edge and degree counts, so equal counts tie exactly (the
         # pairings of a 4-cycle and its single cluster all score 0)
-        if g.directed:
-            raise ValueError("modularity is defined here for undirected graphs only")
         if not g.is_unweighted:
             raise ValueError("modularity is defined here for unweighted graphs only")
         m_edges = g.num_edges
@@ -179,7 +177,7 @@ def modularity(g: Graph, part: Partition) -> float:
     """Newman modularity of a partition of an unweighted undirected graph.
 
     Raises:
-        ValueError: directed or weighted input, or node-count mismatch.
+        ValueError: weighted input, or node-count mismatch.
     """
     degrees, two_m, u, v, _, m_edges = MODULARITY.weights(g)
     if part.n != g.n:
@@ -296,8 +294,8 @@ class FlowMoveState:
     cluster (one with members) or FRESH, a new singleton.
 
     Raises:
-        ValueError: a partition of another size, or the asymmetric flows of
-            a directed walk.
+        ValueError: a partition of another size, or a walk whose flows are
+            not symmetric.
     """
 
     def __init__(self, walk: RandomWalk, part: Partition, criterion=SYNTHESIS):
@@ -406,7 +404,8 @@ class FlowMoveState:
         self._check_target(to_cluster)
         a = int(self.assignment[node])
         if to_cluster == FRESH:
-            to_cluster = self.free_ids.pop()
+            # a singleton is already alone: it keeps its id
+            to_cluster = a if self.counts[a] == 1 else self.free_ids.pop()
         if to_cluster == a:
             return a
         flows = self.flows_to_clusters(node)

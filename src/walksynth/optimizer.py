@@ -214,7 +214,7 @@ def _aggregate_graph(walk: RandomWalk, part: Partition) -> Graph:
     u, v = np.nonzero(np.triu(f > 0.0))
     # an undirected self-loop counts twice in its node's degree
     w = np.where(u == v, f[u, v] / 2.0, f[u, v])
-    return Graph(n=agg.num_clusters, u=u, v=v, w=w, directed=False)
+    return Graph(n=agg.num_clusters, u=u, v=v, w=w)
 
 
 def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, ObjectiveReport]:
@@ -245,8 +245,6 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
         is always the synthesis objective J of that partition with both of
         its bounds, whichever criterion was searched.
     """
-    if g.directed:
-        raise ValueError("the optimizer handles undirected graphs only")
     cfg = cfg if cfg is not None else OptimizerConfig()
     walk0 = transition_matrix(g)
     if cfg.objective == "cluster_mi":

@@ -1,5 +1,6 @@
-"""Stationary random walk induced by a graph, cluster-level aggregates of its
-flows, and the information-theoretic quantities defined on both.
+"""Stationary random walk induced by an undirected graph, cluster-level
+aggregates of its flows, and the information-theoretic quantities defined on
+both.
 
 All entropies, divergences, and mutual informations are in bits, with the
 usual 0*log(0) = 0 convention.
@@ -13,17 +14,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .graph import Graph, connected_components
+from .graph import Graph
 from .partitions import Partition
-
-LOG2 = np.log(2.0)
-
-POWER_ITERATION_CAP = 100_000
-POWER_ITERATION_RESIDUAL = 1e-12
-
-
-class NonErgodicError(RuntimeError):
-    """Directed walk without a reachable unique stationary distribution."""
 
 
 class IsolatedNodeError(ValueError):
@@ -63,16 +55,11 @@ class RandomWalk:
 
 def transition_matrix(g: Graph) -> RandomWalk:
     """Build the walk induced by edge weights: p_step(a -> b) proportional to
-    w(a, b) among a's incident weights.
-
-    Undirected graphs get the exact degree-proportional invariant
-    distribution (valid on disconnected graphs too). Directed graphs use
-    power iteration and must be weakly connected; failure to converge within
-    the iteration cap raises NonErgodicError.
+    w(a, b) among a's incident weights, with the exact degree-proportional
+    invariant distribution (valid on disconnected graphs too).
 
     Raises:
-        IsolatedNodeError: some node has zero (out-)degree.
-        NonErgodicError: directed walk is disconnected or does not converge.
+        IsolatedNodeError: some node has zero degree.
     """
     a = g.adjacency
     degrees = np.asarray(a.sum(axis=1)).ravel()
@@ -81,24 +68,7 @@ def transition_matrix(g: Graph) -> RandomWalk:
         raise IsolatedNodeError(f"node {bad} has zero degree")
     inv = sparse.diags(1.0 / degrees)
     P = sparse.csr_matrix(inv @ a)
-
-    if not g.directed:
-        p = degrees / degrees.sum()
-        return RandomWalk(P=P, p=p)
-
-    if len(connected_components(g)) > 1:
-        raise NonErgodicError("disconnected directed graph has no single stationary walk")
-    p = np.full(g.n, 1.0 / g.n)
-    for _ in range(POWER_ITERATION_CAP):
-        nxt = p @ P
-        nxt /= nxt.sum()
-        if np.abs(nxt - p).sum() < POWER_ITERATION_RESIDUAL:
-            return RandomWalk(P=P, p=np.asarray(nxt).ravel())
-        p = nxt
-    raise NonErgodicError(
-        f"power iteration did not reach residual {POWER_ITERATION_RESIDUAL} "
-        f"within {POWER_ITERATION_CAP} iterations"
-    )
+    return RandomWalk(P=P, p=degrees / degrees.sum())
 
 
 @dataclass(eq=False)
@@ -143,24 +113,6 @@ def cluster_aggregates(walk: RandomWalk, part: Partition) -> ClusterAggregates:
     p_ij = np.zeros((k, k))
     np.add.at(p_ij, (m[f.row], m[f.col]), f.data)
     return ClusterAggregates(p_i=p_i, p_ij=p_ij)
-
-
-def binary_kld(s: float, t: float) -> float:
-    """KL divergence in bits between Bernoulli(s) and Bernoulli(t).
-
-    Raises:
-        ValueError: unless s in [0, 1] and t in (0, 1).
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    total = 0.0
-    if s > 0.0:
-        total += s * np.log2(s / t)
-    if s < 1.0:
-        total += (1.0 - s) * np.log2((1.0 - s) / (1.0 - t))
-    return float(total)
 
 
 def mutual_info_nodes(walk: RandomWalk) -> float:

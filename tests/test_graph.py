@@ -25,8 +25,8 @@ from walksynth import (
 from util import gnp_graph
 
 
-def parse(text: str, directed: bool = False) -> Graph:
-    return load_edge_list(io.StringIO(text), directed=directed)
+def parse(text: str) -> Graph:
+    return load_edge_list(io.StringIO(text))
 
 
 # ---------------------------------------------------------------- parsing
@@ -36,7 +36,6 @@ def test_parse_triangle():
     assert g.n == 3
     assert g.num_edges == 3
     assert np.all(g.w == 1.0)
-    assert not g.directed
 
 
 def test_parse_merges_duplicate_edges():
@@ -51,9 +50,6 @@ def test_parse_merges_reversed_duplicates_when_undirected():
     g = parse("0 1 1\n1 0 2\n")
     assert g.num_edges == 1
     assert g.w[0] == 3.0
-    # directed keeps both orientations apart
-    gd = parse("0 1 1\n1 0 2\n", directed=True)
-    assert gd.num_edges == 2
 
 
 def test_parse_skips_comments_and_blanks():
@@ -103,11 +99,11 @@ _TOKENS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.lists(_TOKENS, min_size=1, max_size=4), max_size=6), st.booleans())
-def test_parse_returns_a_graph_or_raises_a_parse_error(rows, directed):
+@given(st.lists(st.lists(_TOKENS, min_size=1, max_size=4), max_size=6))
+def test_parse_returns_a_graph_or_raises_a_parse_error(rows):
     text = "\n".join(" ".join(tokens) for tokens in rows)
     try:
-        g = parse(text, directed=directed)
+        g = parse(text)
     except EdgeListParseError:
         return
     assert isinstance(g, Graph)
@@ -177,8 +173,6 @@ def test_density_ignores_self_loops():
 
 
 def test_density_errors():
-    with pytest.raises(ValueError):
-        density(parse("0 1\n", directed=True))
     with pytest.raises(ValueError):
         density(Graph(n=1, u=np.array([0]), v=np.array([0]), w=np.array([1.0])))
 

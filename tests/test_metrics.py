@@ -296,9 +296,6 @@ def test_cluster_stats_rejects_weighted_and_directed():
     weighted = Graph(n=2, u=np.array([0]), v=np.array([1]), w=np.array([2.0]))
     with pytest.raises(ValueError):
         cluster_stats(weighted, Partition.single_cluster(2))
-    directed = Graph(n=2, u=np.array([0]), v=np.array([1]), w=np.ones(1), directed=True)
-    with pytest.raises(ValueError):
-        cluster_stats(directed, Partition.single_cluster(2))
 
 
 def test_cluster_stats_fields_stay_in_unit_range():

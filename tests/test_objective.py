@@ -270,9 +270,6 @@ def test_modularity_input_restrictions():
     weighted = Graph(n=2, u=np.array([0]), v=np.array([1]), w=np.array([2.0]))
     with pytest.raises(ValueError):
         modularity(weighted, Partition.single_cluster(2))
-    directed = Graph(n=2, u=np.array([0]), v=np.array([1]), w=np.ones(1), directed=True)
-    with pytest.raises(ValueError):
-        modularity(directed, Partition.single_cluster(2))
     g, part = disconnected_cliques([3, 3])
     with pytest.raises(ValueError):
         modularity(g, Partition.singletons(5))
@@ -408,6 +405,19 @@ def test_state_fresh_move_opens_new_cluster():
     assert state.counts[concrete] == 1
 
 
+def test_state_fresh_move_of_a_singleton_keeps_its_id():
+    # with every node alone no id is free, and none is needed: the move
+    # changes nothing, and gain() prices it at 0
+    g, _ = disconnected_cliques([3, 3])
+    state = FlowMoveState(transition_matrix(g), Partition.singletons(6))
+    before = state.snapshot()
+    assert state.gain(0, FRESH) == 0.0
+    assert state.apply(0, FRESH) == 0
+    assert np.array_equal(state.assignment, before[0])
+    assert state.free_ids == before[4] == []
+    assert state.cluster_terms == before[5]
+
+
 def test_state_emptying_move_frees_cluster():
     g, _ = disconnected_cliques([3, 3])
     w = transition_matrix(g)
@@ -482,14 +492,21 @@ def test_cached_terms_and_best_move_match_lone_gains(criterion, seed, n, ops):
     g = random_connected_graph(rng, n, 0.4)
     state = FlowMoveState(transition_matrix(g), random_partition(rng, n), criterion)
     snap = state.snapshot()
+
+    def apply_checked(target):
+        # every move kind changes the value by exactly its priced gain
+        before, gain = state.value(), state.gain(node, target)
+        state.apply(node, target)
+        assert state.value() == pytest.approx(before + gain, abs=1e-9), target
+
     for op, i, j in ops:
         node = i % n
         if op == "move":
             # any active cluster: the node's own, another, or one it empties
             active = np.flatnonzero(state.counts > 0)
-            state.apply(node, int(active[j % len(active)]))
-        elif op == "fresh" and state.free_ids:
-            state.apply(node, FRESH)
+            apply_checked(int(active[j % len(active)]))
+        elif op == "fresh":
+            apply_checked(FRESH)
         elif op == "snapshot":
             snap = state.snapshot()
         elif op == "restore":

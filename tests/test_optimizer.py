@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from walksynth import (
     FlowMoveState,
@@ -24,7 +25,9 @@ from walksynth import (
     set_partitions,
     transition_matrix,
     PlantedPartitionParams,
+    RandomWalk,
 )
+from walksynth.objective import MODULARITY, SYNTHESIS
 from walksynth.optimizer import _aggregate_graph
 from util import random_connected_graph, random_partition, triangle
 
@@ -87,18 +90,12 @@ def test_cluster_mi_objective_prefers_singletons():
     assert mutual_info_clusters(agg) == pytest.approx(mutual_info_nodes(w), abs=1e-12)
 
 
-def test_rejects_directed_graphs():
-    g = Graph(n=3, u=np.array([0, 1, 2]), v=np.array([1, 2, 0]), w=np.ones(3), directed=True)
-    with pytest.raises(ValueError):
-        optimize(g)
-
-
 def test_move_state_rejects_directed_walks():
     # gains count each neighbour's flow both ways as twice the one-way flow,
-    # which holds only on a symmetric walk
-    g = Graph(n=3, u=np.array([0, 1, 2]), v=np.array([1, 2, 0]), w=np.ones(3), directed=True)
+    # which holds only on a symmetric walk; the directed 3-cycle is not one
+    cycle = RandomWalk(sparse.csr_matrix(np.roll(np.eye(3), 1, axis=1)), np.full(3, 1 / 3))
     with pytest.raises(ValueError, match="symmetric"):
-        FlowMoveState(transition_matrix(g), Partition.singletons(3))
+        FlowMoveState(cycle, Partition.singletons(3))
 
 
 def test_config_validation():
@@ -140,17 +137,18 @@ def test_aggregated_graph_reproduces_coarse_walk():
 
 
 def test_aggregated_graph_respects_coarser_partitions():
+    # the optimizer coarsens under both criteria it searches by moves
     rng = np.random.default_rng(83)
     g = random_connected_graph(rng, 18, 0.3)
     w = transition_matrix(g)
     part = random_partition(rng, g.n, k_max=8)
-    coarse = _aggregate_graph(w, part)
-    cw = transition_matrix(coarse)
+    cw = transition_matrix(_aggregate_graph(w, part))
     merge = Partition(np.arange(part.num_clusters) % 2)
     flat_merge = Partition(merge.assignment[part.assignment])
-    a = evaluate_partition(w, flat_merge).value
-    b = evaluate_partition(cw, merge).value
-    assert b == pytest.approx(a, abs=1e-12)
+    for criterion in (SYNTHESIS, MODULARITY):
+        flat = FlowMoveState(w, flat_merge, criterion).value()
+        coarse = FlowMoveState(cw, merge, criterion).value()
+        assert coarse == pytest.approx(flat, abs=1e-12), criterion
 
 
 # -------------------------------------------------------- exhaustive search

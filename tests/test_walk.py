@@ -9,9 +9,7 @@ from scipy import sparse
 from walksynth import (
     Graph,
     IsolatedNodeError,
-    NonErgodicError,
     Partition,
-    binary_kld,
     cluster_aggregates,
     complete_graph,
     disconnected_cliques,
@@ -20,6 +18,7 @@ from walksynth import (
     mutual_info_nodes,
     transition_matrix,
 )
+from walksynth.objective import SYNTHESIS
 from util import random_connected_graph, random_partition, triangle, path3
 
 LOG2_3_OVER_2 = math.log2(1.5)  # 0.5849625007211562
@@ -102,55 +101,6 @@ def test_stationarity_on_random_graphs():
         assert np.abs(w.p @ w.P - w.p).max() < 1e-12
 
 
-def test_directed_cycle_stationary_uniform():
-    g = Graph(
-        n=3, u=np.array([0, 1, 2]), v=np.array([1, 2, 0]), w=np.ones(3), directed=True
-    )
-    w = transition_matrix(g)
-    assert np.allclose(w.p, 1.0 / 3.0, atol=1e-10)
-
-
-def test_directed_asymmetric_chain():
-    # 0 <-> 1 <-> 2 with equal out-splits at node 1 is periodic, so give
-    # node 1 a self-loop to make the chain aperiodic
-    g = Graph(
-        n=3,
-        u=np.array([0, 1, 1, 1, 2]),
-        v=np.array([1, 0, 1, 2, 1]),
-        w=np.array([1.0, 1.0, 2.0, 1.0, 1.0]),
-        directed=True,
-    )
-    w = transition_matrix(g)
-    P = np.asarray(w.P.todense())
-    assert np.allclose(P[1], [0.25, 0.5, 0.25])
-    assert np.abs(w.p @ P - w.p).max() < 1e-10
-
-
-def test_directed_periodic_chain_is_non_ergodic():
-    # bipartite flip-flop never settles pointwise
-    g = Graph(
-        n=3,
-        u=np.array([0, 1, 1, 2]),
-        v=np.array([1, 0, 2, 1]),
-        w=np.ones(4),
-        directed=True,
-    )
-    with pytest.raises(NonErgodicError):
-        transition_matrix(g)
-
-
-def test_directed_disconnected_is_non_ergodic():
-    g = Graph(
-        n=6,
-        u=np.array([0, 1, 2, 3, 4, 5]),
-        v=np.array([1, 2, 0, 4, 5, 3]),
-        w=np.ones(6),
-        directed=True,
-    )
-    with pytest.raises(NonErgodicError):
-        transition_matrix(g)
-
-
 def test_flows_sum_to_one():
     rng = np.random.default_rng(2)
     g = random_connected_graph(rng, 12, 0.3)
@@ -211,21 +161,13 @@ def test_aggregates_require_matching_node_count():
 
 # ------------------------------------------------------------- divergences
 
+# the synthesis term of a cluster of mass t and within-cluster flow s * t is
+# t times the binary KL divergence in bits between stay probability s and t
+
 def test_binary_kld_fixtures():
-    assert binary_kld(0.5, 0.5) == 0.0
-    assert binary_kld(1.0, 0.5) == 1.0
-    assert binary_kld(0.0, 1.0 / 3.0) == pytest.approx(LOG2_3_OVER_2, abs=1e-15)
-
-
-def test_binary_kld_domain():
-    with pytest.raises(ValueError):
-        binary_kld(0.5, 0.0)
-    with pytest.raises(ValueError):
-        binary_kld(0.5, 1.0)
-    with pytest.raises(ValueError):
-        binary_kld(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        binary_kld(1.1, 0.5)
+    assert SYNTHESIS.term(0.5, 0.25) == 0.0
+    assert SYNTHESIS.term(0.5, 0.5) == 0.5
+    assert SYNTHESIS.term(1.0 / 3.0, 0.0) == pytest.approx(LOG2_3_OVER_2 / 3.0, abs=1e-15)
 
 
 def test_binary_kld_nonnegative():
@@ -233,8 +175,8 @@ def test_binary_kld_nonnegative():
     for _ in range(200):
         s = float(rng.uniform(0, 1))
         t = float(rng.uniform(1e-6, 1 - 1e-6))
-        assert binary_kld(s, t) >= 0.0
-    assert binary_kld(0.25, 0.25) == 0.0
+        assert SYNTHESIS.term(t, s * t) >= 0.0
+    assert SYNTHESIS.term(0.25, 0.0625) == 0.0
 
 
 def test_mutual_info_triangle():

@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sizes", help="comma-separated community sizes, e.g. 20,20,20")
     p.add_argument("--k-avg", type=float, dest="k_avg")
     p.add_argument("--mu", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--config", help="key=value file supplying any of the flags above")
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-truth", required=True)
@@ -178,11 +178,11 @@ def cmd_gen(args) -> int:
         sizes_text = sizes_text or kv.get("sizes")
         k_avg = k_avg if k_avg is not None else float(kv["k_avg"]) if "k_avg" in kv else None
         mu = mu if mu is not None else float(kv["mu"]) if "mu" in kv else None
-        if "seed" in kv and args.seed == 0:
-            seed = int(kv["seed"])
+        seed = seed if seed is not None else int(kv["seed"]) if "seed" in kv else None
     if not sizes_text or k_avg is None or mu is None:
         print("error: sizes, k_avg, and mu are required (flags or --config)", file=sys.stderr)
         return 1
+    seed = 0 if seed is None else seed
     sizes = [int(s) for s in sizes_text.split(",") if s]
     params = PlantedPartitionParams(community_sizes=sizes, k_avg=k_avg, mu=mu)
     g, truth = planted_partition(params, seed)

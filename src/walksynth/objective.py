@@ -10,6 +10,7 @@ cluster-level mutual information are carried as comparison criteria.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -293,6 +294,12 @@ class FlowMoveState:
     optimizer uses for its tentative move chains. A move targets an active
     cluster (one with members) or FRESH, a new singleton.
 
+    The scan reads one value at a time, so the per-node state (``assignment``,
+    ``node_mass``, ``self_flow``) and the per-cluster state (``mass``,
+    ``within``, ``cluster_terms``) are Python lists, whose items are plain
+    ints and floats; ``counts`` stays a numpy array. ``active`` lists the
+    active cluster ids in ascending order, the dense scan's target order.
+
     Raises:
         ValueError: a partition of another size, or a walk whose flows are
             not symmetric.
@@ -302,42 +309,32 @@ class FlowMoveState:
         n = walk.n
         if part.n != n:
             raise ValueError(f"partition covers {part.n} nodes, walk has {n}")
+        # per node, its other neighbours and twice the flow to each; shared
+        # by every state on this walk
+        self.nbr_idx, self.nbr_flow = walk.neighbour_flows
         f = walk.flows
-        if (abs(f - f.T) > 1e-15).nnz:
-            raise ValueError("move gains need the symmetric flows of an undirected walk")
         self.walk = walk
         self.criterion = criterion
         self.term = criterion.term
-        self.node_mass = walk.p.copy()
-        self.self_flow = f.diagonal().copy()
+        self.node_mass: list[float] = walk.p.tolist()
+        self.self_flow: list[float] = f.diagonal().tolist()
 
-        # per node, its other neighbours and twice the flow to each: the flow
-        # in both directions, as the walk is symmetric
-        csr = f.tocsr()
-        self.nbr_idx: list[list[int]] = []
-        self.nbr_flow: list[list[float]] = []
-        for a in range(n):
-            lo, hi = csr.indptr[a], csr.indptr[a + 1]
-            idx = csr.indices[lo:hi]
-            keep = idx != a
-            self.nbr_idx.append(idx[keep].tolist())
-            self.nbr_flow.append((2.0 * csr.data[lo:hi][keep]).tolist())
-
-        self.assignment = part.assignment.copy()
+        assignment = part.assignment
         k = part.num_clusters
         mass = np.zeros(n, dtype=np.float64)
         within = np.zeros(n, dtype=np.float64)
         self.counts = np.zeros(n, dtype=np.int64)
-        np.add.at(mass, self.assignment, walk.p)
+        np.add.at(mass, assignment, walk.p)
         coo = f.tocoo()
-        same = self.assignment[coo.row] == self.assignment[coo.col]
-        np.add.at(within, self.assignment[coo.row[same]], coo.data[same])
-        np.add.at(self.counts, self.assignment, 1)
-        # per cluster id, Python floats: a gain scan reads them one at a time
+        same = assignment[coo.row] == assignment[coo.col]
+        np.add.at(within, assignment[coo.row[same]], coo.data[same])
+        np.add.at(self.counts, assignment, 1)
+        self.assignment: list[int] = assignment.tolist()
         self.mass: list[float] = mass.tolist()
         self.within: list[float] = within.tolist()
         self.cluster_terms = [self.term(m, w) for m, w in zip(self.mass, self.within)]
         self.free_ids = [c for c in range(n - 1, k - 1, -1)]
+        self.active = list(range(k))
 
     def flows_to_clusters(self, node: int) -> dict[int, float]:
         """Total stationary flow (both directions) between a node and each
@@ -360,9 +357,9 @@ class FlowMoveState:
         ``targets`` in turn: active clusters other than its own, or FRESH.
         ``flows`` is ``flows_to_clusters(node)``. The source side is priced
         once, and each target by one criterion term."""
-        a = int(self.assignment[node])
-        p = float(self.node_mass[node])
-        sl = float(self.self_flow[node])
+        a = self.assignment[node]
+        p = self.node_mass[node]
+        sl = self.self_flow[node]
         term, mass, within, cluster_terms = self.term, self.mass, self.within, self.cluster_terms
         old_a = cluster_terms[a]
         if self.counts[a] == 1:
@@ -402,20 +399,24 @@ class FlowMoveState:
             ValueError: a target that is neither FRESH nor an active cluster.
         """
         self._check_target(to_cluster)
-        a = int(self.assignment[node])
+        a = self.assignment[node]
         if to_cluster == FRESH:
             # a singleton is already alone: it keeps its id
-            to_cluster = a if self.counts[a] == 1 else self.free_ids.pop()
+            if self.counts[a] == 1:
+                return a
+            to_cluster = self.free_ids.pop()
+            insort(self.active, to_cluster)
         if to_cluster == a:
             return a
         flows = self.flows_to_clusters(node)
-        p = float(self.node_mass[node])
-        sl = float(self.self_flow[node])
+        p = self.node_mass[node]
+        sl = self.self_flow[node]
         if self.counts[a] == 1:
             self.mass[a] = 0.0
             self.within[a] = 0.0
             self.counts[a] = 0
             self.free_ids.append(a)
+            self.active.remove(a)
         else:
             self.mass[a] -= p
             self.within[a] -= flows.get(a, 0.0) + sl
@@ -429,8 +430,7 @@ class FlowMoveState:
         return to_cluster
 
     def value(self) -> float:
-        active = np.nonzero(self.counts)[0]
-        mass, within = np.array(self.mass)[active], np.array(self.within)[active]
+        mass, within = np.array(self.mass)[self.active], np.array(self.within)[self.active]
         return float(np.sum(self.criterion.terms(mass, within)))
 
     def partition(self) -> Partition:
@@ -438,20 +438,16 @@ class FlowMoveState:
 
     def snapshot(self) -> tuple:
         return (
-            self.assignment.copy(),
+            list(self.assignment),
             list(self.mass),
             list(self.within),
             self.counts.copy(),
             list(self.free_ids),
             list(self.cluster_terms),
+            list(self.active),
         )
 
     def restore(self, snap: tuple) -> None:
-        self.assignment, self.mass, self.within, self.counts = (
-            snap[0].copy(),
-            list(snap[1]),
-            list(snap[2]),
-            snap[3].copy(),
-        )
-        self.free_ids = list(snap[4])
-        self.cluster_terms = list(snap[5])
+        self.assignment, self.mass, self.within = list(snap[0]), list(snap[1]), list(snap[2])
+        self.counts = snap[3].copy()
+        self.free_ids, self.cluster_terms, self.active = list(snap[4]), list(snap[5]), list(snap[6])

@@ -11,6 +11,7 @@ stationary flows, so objective values at coarser levels equal the flat ones.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -55,8 +56,8 @@ class OptimizerConfig:
 
 def _best_move(state: FlowMoveState, node: int, min_gain: float):
     flows = state.flows_to_clusters(node)
-    a = int(state.assignment[node])
-    targets = np.flatnonzero(state.counts > 0).tolist() if state.criterion.dense_targets else flows
+    a = state.assignment[node]
+    targets = state.active if state.criterion.dense_targets else flows
     targets = [c for c in targets if c != a]
     if state.counts[a] > 1:
         targets.append(FRESH)
@@ -126,7 +127,7 @@ def _merge_chain(state: FlowMoveState) -> bool:
     """Merge the least-bad adjacent cluster pair all the way down, then keep
     the best prefix if it gained; complements single-node chains, which
     cannot coordinate multi-node regroupings."""
-    ids = np.flatnonzero(state.counts > 0)
+    ids = np.array(state.active)
     k = len(ids)
     if k < 2:
         return False
@@ -162,7 +163,7 @@ def _merge_chain(state: FlowMoveState) -> bool:
     if best_cum <= MIN_GAIN:
         return False
     for target, source in seq[:best_len]:
-        for node in np.flatnonzero(state.assignment == source).tolist():
+        for node in [node for node, c in enumerate(state.assignment) if c == source]:
             state.apply(node, target)
     return True
 
@@ -182,11 +183,46 @@ def _merge_deltas_live(criterion, m: np.ndarray, F: np.ndarray, alive: np.ndarra
     return deltas
 
 
-def _refine_level(state: FlowMoveState, rng: np.random.Generator) -> None:
+def _walk_key(walk: RandomWalk) -> tuple[bytes, ...]:
+    f = walk.flows
+    return (
+        f.indptr.astype(np.int64).tobytes(),
+        f.indices.astype(np.int64).tobytes(),
+        f.data.tobytes(),
+        walk.p.tobytes(),
+    )
+
+
+def _state_key(state: FlowMoveState) -> tuple[bytes, ...]:
+    return (
+        array("q", state.assignment).tobytes(),
+        array("d", state.mass).tobytes(),
+        array("d", state.within).tobytes(),
+        array("q", state.free_ids).tobytes(),
+    )
+
+
+def _refine_level(
+    state: FlowMoveState, rng: np.random.Generator, dead_ends: dict[tuple, set[tuple]]
+) -> None:
+    """Local moving, then on small levels the escapes until both fail.
+
+    ``dead_ends`` maps a walk's key to the keys of the states on it where both
+    escapes failed, and is shared by every level of one ``optimize`` call.
+    """
     _local_moving(state, rng)
     if len(state.assignment) > CHAIN_NODE_CAP:
         return
+    # Skipping a known dead end is exact: both escapes are deterministic in
+    # the walk and the state's assignment, mass, within and free ids (the
+    # rest of the state follows from these), they draw no random numbers, and
+    # a failed escape restores the state bit for bit. The keys are raw bytes,
+    # so a match is an exact match.
+    dead = dead_ends.setdefault(_walk_key(state.walk), set())
     while True:
+        key = _state_key(state)
+        if key in dead:
+            return
         changed = False
         if _merge_chain(state):
             _local_moving(state, rng)
@@ -195,6 +231,7 @@ def _refine_level(state: FlowMoveState, rng: np.random.Generator) -> None:
             _local_moving(state, rng)
             changed = True
         if not changed:
+            dead.add(key)
             return
 
 
@@ -253,6 +290,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     rng = np.random.default_rng(cfg.seed)
 
     best_part, best_value = None, -np.inf
+    dead_ends: dict[tuple, set[tuple]] = {}
     for i in range(16 if g.n <= CHAIN_NODE_CAP else 4):
         if i == 0 or g.n > CHAIN_NODE_CAP:
             init = Partition.singletons(g.n)
@@ -261,14 +299,18 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
             # singletons loses; random starts land in other basins
             k = int(rng.integers(1, g.n + 1))
             init = Partition(rng.integers(0, k, size=g.n))
-        part, value = _search_rounds(walk0, init, rng, criterion)
+        part, value = _search_rounds(walk0, init, rng, criterion, dead_ends)
         if value > best_value + MIN_GAIN:
             best_part, best_value = part, value
     return best_part, evaluate_partition(walk0, best_part)
 
 
 def _search_rounds(
-    walk0: RandomWalk, init: Partition, rng: np.random.Generator, criterion
+    walk0: RandomWalk,
+    init: Partition,
+    rng: np.random.Generator,
+    criterion,
+    dead_ends: dict[tuple, set[tuple]],
 ) -> tuple[Partition, float]:
     part = init
     value = -np.inf
@@ -276,13 +318,13 @@ def _search_rounds(
         # single-node moves on the original walk; this is also what undoes
         # merges that an earlier round's aggregation locked in
         state = FlowMoveState(walk0, part, criterion)
-        _refine_level(state, rng)
+        _refine_level(state, rng, dead_ends)
         part = state.partition()
         # merge rounds on progressively coarser graphs
         while part.num_clusters > 1:
             level_walk = transition_matrix(_aggregate_graph(walk0, part))
             st = FlowMoveState(level_walk, Partition.singletons(part.num_clusters), criterion)
-            _refine_level(st, rng)
+            _refine_level(st, rng, dead_ends)
             sub = st.partition()
             if sub.num_clusters == part.num_clusters:
                 break

@@ -52,6 +52,26 @@ class RandomWalk:
         """Stationary edge flows F = diag(p) P; F sums to 1."""
         return sparse.csr_matrix(self.P.multiply(self.p[:, None]))
 
+    @cached_property
+    def neighbour_flows(self) -> tuple[list[list[int]], list[list[float]]]:
+        """Per node, its other neighbours and twice the stationary flow to
+        each (the flow both ways), as Python lists for scalar move scans.
+
+        Raises:
+            ValueError: flows that are not symmetric, as only an undirected
+                walk's are.
+        """
+        f = self.flows
+        if (abs(f - f.T) > 1e-15).nnz:
+            raise ValueError("move gains need the symmetric flows of an undirected walk")
+        rows = np.repeat(np.arange(self.n), np.diff(f.indptr))
+        keep = f.indices != rows
+        bounds = np.concatenate(([0], np.cumsum(keep)))[f.indptr].tolist()
+        idx = f.indices[keep].tolist()
+        flow = (2.0 * f.data[keep]).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        return [idx[lo:hi] for lo, hi in spans], [flow[lo:hi] for lo, hi in spans]
+
 
 def transition_matrix(g: Graph) -> RandomWalk:
     """Build the walk induced by edge weights: p_step(a -> b) proportional to

@@ -190,6 +190,28 @@ def test_gen_reads_config_file_with_flag_overrides(tmp_path, capsys):
     assert graph.exists() and truth.exists()
 
 
+def test_gen_seed_flag_wins_over_config_even_at_zero(tmp_path, capsys):
+    # the seed comes from the flag, then the config, then 0
+    config = tmp_path / "gen.cfg"
+    config.write_text("sizes = 6,6\nk_avg = 4\nmu = 0.2\nseed = 5\n")
+    bare = tmp_path / "bare.cfg"
+    bare.write_text("sizes = 6,6\nk_avg = 4\nmu = 0.2\n")
+    seeds = {}
+    for name, cfg, flags in [
+        ("flag 0", config, ["--seed", "0"]),
+        ("flag 1", config, ["--seed", "1"]),
+        ("config", config, []),
+        ("default", bare, []),
+    ]:
+        rc, stdout, _ = run(
+            capsys, "gen", "--config", cfg, *flags,
+            "--out-graph", tmp_path / "g.txt", "--out-truth", tmp_path / "t.txt",
+        )
+        assert rc == 0, name
+        seeds[name] = json.loads(stdout)["seed"]
+    assert seeds == {"flag 0": 0, "flag 1": 1, "config": 5, "default": 0}
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_runs_grid_and_is_deterministic(tmp_path, capsys):

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walksynth import (
     Graph,
@@ -16,12 +18,15 @@ from walksynth import (
     cluster_stats,
     contingency,
     disconnected_cliques,
+    evaluate_partition,
     greedy_match,
     mixing_parameter,
+    modularity,
     nld,
+    transition_matrix,
     write_cluster_stats_csv,
 )
-from util import gnp_graph, random_partition
+from util import gnp_graph, random_connected_graph, random_partition
 
 
 def ami_permutation_oracle(a: list[int], b: list[int]) -> float:
@@ -125,6 +130,30 @@ def test_ami_symmetry_and_relabeling():
         assert ami(a, b) == pytest.approx(ami(b, a), abs=1e-12)
         perm = rng.permutation(b.num_clusters)
         assert ami(a, Partition(perm[b.assignment])) == pytest.approx(ami(a, b), abs=1e-12)
+
+
+_INT64 = st.one_of(
+    st.sampled_from([-2**63, -2**63 + 1, -1, 0, 2**63 - 2, 2**63 - 1]),
+    st.integers(-2**63, 2**63 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 15), st.data())
+def test_partition_relabel_invariance(seed, n, data):
+    # any injective relabelling, negative and int64-extreme labels included,
+    # is the same partition with the same scores
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, 0.4)
+    part = random_partition(rng, n)
+    k = part.num_clusters
+    labels = data.draw(st.lists(_INT64, min_size=k, max_size=k, unique=True))
+    relabelled = Partition([labels[c] for c in part.assignment.tolist()])
+    walk = transition_matrix(g)
+    assert relabelled == part
+    assert evaluate_partition(walk, relabelled).value == evaluate_partition(walk, part).value
+    assert modularity(g, relabelled) == modularity(g, part)
+    assert ami(part, relabelled) == 1.0
 
 
 def test_ami_requires_same_length():

@@ -513,6 +513,8 @@ def test_cached_terms_and_best_move_match_lone_gains(criterion, seed, n, ops):
             state.restore(snap)
         for c in range(n):
             assert state.cluster_terms[c] == criterion.term(state.mass[c], state.within[c]), c
+        # the scan reads Python ints: the active ids, the flow keys, the target
+        assert state.active == np.flatnonzero(state.counts > 0).tolist()
 
         # the scan's choice is the first strict maximum of gain() in scan order
         node = j % n
@@ -529,3 +531,5 @@ def test_cached_terms_and_best_move_match_lone_gains(criterion, seed, n, ops):
                 best_gain, best = gain, c
         got_gain, got = _best_move(state, node, -math.inf)
         assert (got, repr(got_gain)) == (best, repr(best_gain))
+        assert all(type(c) is int for c in state.flows_to_clusters(node))
+        assert got is None or type(got) is int

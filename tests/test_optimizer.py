@@ -2,9 +2,12 @@
 partition enumerator."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from walksynth import (
@@ -28,7 +31,7 @@ from walksynth import (
     RandomWalk,
 )
 from walksynth.objective import MODULARITY, SYNTHESIS
-from walksynth.optimizer import _aggregate_graph
+from walksynth.optimizer import _aggregate_graph, _chain_pass, _local_moving, _merge_chain
 from util import random_connected_graph, random_partition, triangle
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -118,6 +121,38 @@ def test_value_never_below_singleton_start():
         start = evaluate_partition(w, Partition.singletons(g.n)).value
         _, report = optimize(g, OptimizerConfig(seed=int(rng.integers(0, 100))))
         assert report.value >= start - 1e-9
+
+
+# ----------------------------------------------------------------- escapes
+
+def _bits(assignment, mass, within, counts, free_ids, cluster_terms, active) -> tuple:
+    # floats as bit patterns: 0.0 and -0.0, or two roundings of a sum, differ
+    return (list(assignment), array("d", mass).tobytes(), array("d", within).tobytes(),
+            np.asarray(counts).tolist(), list(free_ids), array("d", cluster_terms).tobytes(),
+            list(active))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([SYNTHESIS, MODULARITY]), st.integers(0, 2**32 - 1), st.integers(3, 20),
+       st.booleans())
+def test_failed_escapes_leave_the_state_bit_for_bit(criterion, seed, n, settle):
+    # the premise that lets a level skip a state on which both escapes
+    # already failed: a failed escape changes nothing
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, 0.4)
+    state = FlowMoveState(transition_matrix(g), random_partition(rng, n), criterion)
+    if settle:
+        _local_moving(state, rng)
+    failed = 0
+    while failed < 2:
+        failed = 0
+        for escape in (_merge_chain, _chain_pass):
+            before = _bits(*state.snapshot())
+            if not escape(state):
+                after = _bits(state.assignment, state.mass, state.within, state.counts,
+                              state.free_ids, state.cluster_terms, state.active)
+                assert after == before, escape.__name__
+                failed += 1
 
 
 # ------------------------------------------------------ level aggregation

@@ -171,10 +171,11 @@ def run_sweep(spec: SweepSpec, timing: bool = False, workers: int = 1) -> list[S
         spec: the grid description.
         timing: report measured wall time per run in the ms column instead of
             the deterministic 0.
-        workers: realizations run in parallel processes when above 1; row
-            order and content do not depend on scheduling.
+        workers: processes that run grid points in parallel when above 1,
+            at most one per point; rows do not depend on scheduling.
     """
     points = [(mu, r) for mu in spec.mu_values for r in range(spec.realizations)]
+    workers = min(workers, len(points))
     rows: list[SweepResultRow] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

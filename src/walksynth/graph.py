@@ -195,19 +195,16 @@ def load_edge_list(source: str | Path | IO[str]) -> Graph:
 def dump_edge_list(g: Graph, sink: str | Path | IO[str]) -> None:
     """Write the graph back out with its original labels; unit weights are
     omitted so unweighted files stay unweighted."""
-    rows = []
-    for a, b, weight in zip(g.u, g.v, g.w):
-        la, lb = g.labels[a], g.labels[b]
-        if weight == 1.0:
-            rows.append(f"{la} {lb}")
-        else:
-            rows.append(f"{la} {lb} {float(weight)!r}")
-    write_lines(rows, sink)
+    edges = zip(g.labels[g.u].tolist(), g.labels[g.v].tolist(), g.w.tolist())
+    write_lines(
+        (f"{la} {lb}" if weight == 1.0 else f"{la} {lb} {weight!r}" for la, lb, weight in edges),
+        sink,
+    )
 
 
 def write_label_map(g: Graph, sink: str | Path | IO[str]) -> None:
     """Persist the original-to-dense label map as two-column text."""
-    write_lines((f"{g.labels[i]} {i}" for i in range(g.n)), sink)
+    write_lines((f"{label} {i}" for i, label in enumerate(g.labels.tolist())), sink)
 
 
 def density(g: Graph) -> float:

@@ -8,9 +8,13 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
+from scipy import sparse
 
 from .graph import Graph, write_lines
 from .partitions import Partition
+
+#: adjacency rows per block of the triangle count, which bounds its memory
+TRIANGLE_BLOCK_ROWS = 1024
 
 
 def contingency(a: Partition, b: Partition) -> np.ndarray:
@@ -35,29 +39,31 @@ def _entropy(counts: np.ndarray, n: int) -> float:
 
 def _expected_mi(a_counts: np.ndarray, b_counts: np.ndarray, n: int) -> float:
     """Exact expectation of the mutual information (nats) over random
-    contingency tables with these fixed marginals."""
-    log_fact = [math.lgamma(x + 1) for x in range(n + 1)]
+    contingency tables with these fixed marginals (Vinh, Epps & Bailey 2010),
+    summed in loop order one row of at most n cells (b_j, n_ij) at a time."""
+    log_fact = np.array([math.lgamma(x + 1) for x in range(n + 1)])
     total = 0.0
-    for ai in a_counts:
-        ai = int(ai)
-        for bj in b_counts:
-            bj = int(bj)
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            for nij in range(lo, hi + 1):
-                log_prob = (
-                    log_fact[ai]
-                    + log_fact[bj]
-                    + log_fact[n - ai]
-                    + log_fact[n - bj]
-                    - log_fact[n]
-                    - log_fact[nij]
-                    - log_fact[ai - nij]
-                    - log_fact[bj - nij]
-                    - log_fact[n - ai - bj + nij]
-                )
-                term = (nij / n) * math.log(n * nij / (ai * bj))
-                total += term * math.exp(log_prob)
+    for ai in a_counts.tolist():
+        lo = np.maximum(1, ai + b_counts - n)
+        cells = np.minimum(ai, b_counts) - lo + 1
+        bj = b_counts.repeat(cells)
+        # n_ij runs lo..hi within each column's block of cells
+        nij = np.arange(len(bj)) + (lo - (cells.cumsum() - cells)).repeat(cells)
+        log_prob = (
+            log_fact[ai]
+            + log_fact[bj]
+            + log_fact[n - ai]
+            + log_fact[n - bj]
+            - log_fact[n]
+            - log_fact[nij]
+            - log_fact[ai - nij]
+            - log_fact[bj - nij]
+            - log_fact[n - ai - bj + nij]
+        )
+        terms = (nij / n) * np.log(n * nij / (ai * bj)) * np.exp(log_prob)
+        # carrying the running sum in keeps the additions in the loop's order
+        terms[0] += total
+        total = float(terms.cumsum()[-1])
     return total
 
 
@@ -67,7 +73,8 @@ def ami(a: Partition, b: Partition) -> float:
     the larger entropy. 1.0 for identical partitions, about 0 for independent
     ones, slightly negative below chance.
 
-    Two identical single-cluster partitions score 1.0 by convention.
+    Two identical single-cluster partitions score 1.0 by convention, and so
+    do two all-singleton ones, where the formula is 0 / 0.
     """
     table = contingency(a, b)
     n = a.n
@@ -75,7 +82,7 @@ def ami(a: Partition, b: Partition) -> float:
     b_counts = table.sum(axis=0)
     h_a = _entropy(a_counts, n)
     h_b = _entropy(b_counts, n)
-    if a.num_clusters == 1 and b.num_clusters == 1:
+    if a.num_clusters == b.num_clusters and a.num_clusters in (1, n):
         return 1.0
     nz = table[table > 0]
     rows, cols = np.nonzero(table)
@@ -189,34 +196,26 @@ def cluster_stats(g: Graph, part: Partition, min_size: int = 3) -> list[ClusterS
     k = part.num_clusters
     sizes = part.sizes()
 
-    internal = np.zeros(k, dtype=np.int64)
-    external = np.zeros(k, dtype=np.int64)
-    neighbors: list[set[int]] = [set() for _ in range(g.n)]
-    for a, b in zip(g.u.tolist(), g.v.tolist()):
-        if a == b:
-            internal[assign[a]] += 1
-            continue
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-        if assign[a] == assign[b]:
-            internal[assign[a]] += 1
-        else:
-            external[assign[a]] += 1
-            external[assign[b]] += 1
+    ca, cb = assign[g.u], assign[g.v]
+    inside = ca == cb  # self-loops included
+    internal = np.bincount(ca[inside], minlength=k)
+    external = np.bincount(ca[~inside], minlength=k) + np.bincount(cb[~inside], minlength=k)
 
-    coeff = np.zeros(g.n)
-    for node in range(g.n):
-        around = sorted(neighbors[node])
-        deg = len(around)
-        if deg < 2:
-            continue
-        links = sum(
-            1
-            for i in range(deg)
-            for j in range(i + 1, deg)
-            if around[j] in neighbors[around[i]]
-        )
-        coeff[node] = links / (deg * (deg - 1) / 2)
+    # the simple adjacency: the graph's without its self-loops, one per link;
+    # a node's links among its neighbors are counted twice in (A @ A) * A
+    full = g.adjacency
+    owner = np.repeat(np.arange(g.n), np.diff(full.indptr))
+    off = full.indices != owner
+    deg = np.bincount(owner[off], minlength=g.n)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    adj = sparse.csr_matrix(
+        (np.ones(indptr[-1], dtype=np.int32), full.indices[off], indptr), shape=(g.n, g.n)
+    )
+    links = np.zeros(g.n, dtype=np.int64)
+    for lo in range(0, g.n, TRIANGLE_BLOCK_ROWS):
+        block = adj[lo:lo + TRIANGLE_BLOCK_ROWS]
+        links[lo:lo + TRIANGLE_BLOCK_ROWS] = (block @ adj).multiply(block).sum(axis=1).A1 // 2
+    coeff = np.divide(links, deg * (deg - 1) / 2, out=np.zeros(g.n), where=deg >= 2)
 
     rows = []
     members = part.members()

@@ -69,7 +69,7 @@ def write_partition(sink: str | Path | IO[str], labels: np.ndarray, part: Partit
     """Write one ``node_label cluster_index`` line per node in dense order."""
     if len(labels) != part.n:
         raise ValueError("label array and partition cover different node counts")
-    write_lines((f"{labels[i]} {part.assignment[i]}" for i in range(part.n)), sink)
+    write_lines((f"{lab} {c}" for lab, c in zip(labels.tolist(), part.assignment.tolist())), sink)
 
 
 def read_partition_labels(source: str | Path | IO[str]) -> dict[int, int]:

@@ -3,6 +3,7 @@ the per-node classification export."""
 
 import io
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -156,6 +157,34 @@ def test_timing_column_defaults_to_zero_and_can_be_enabled():
     assert cold.ms == 0
     (timed,) = run_sweep(spec, timing=True)
     assert timed.ms > 0
+
+
+def test_sweep_opens_no_more_workers_than_grid_points(monkeypatch):
+    # the pool starts all its worker processes up front, so a worker count
+    # above the number of grid points must be capped before the pool opens
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr("walksynth.bench.ProcessPoolExecutor", InlinePool)
+    for realizations in (2, 1):
+        spec = small_spec(community_sizes=[8, 8], k_avg=4.0, realizations=realizations)
+        assert run_sweep(spec, workers=64) == run_sweep(spec)
+    # a one-point grid runs in this process
+    assert opened == [2]
 
 
 # ------------------------------------------------------------ classification

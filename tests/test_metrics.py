@@ -26,6 +26,7 @@ from walksynth import (
     transition_matrix,
     write_cluster_stats_csv,
 )
+from walksynth.metrics import ClusterStatsRow, _expected_mi
 from util import gnp_graph, random_connected_graph, random_partition
 
 
@@ -63,6 +64,94 @@ def ami_permutation_oracle(a: list[int], b: list[int]) -> float:
     if h == expected:
         return 1.0
     return (actual - expected) / (h - expected)
+
+
+def expected_mi_loop(a_counts, b_counts, n: int) -> float:
+    """Exact expected MI (nats) as a triple loop over the (a_i, b_j, n_ij)
+    cells (Vinh, Epps & Bailey 2010)."""
+    log_fact = [math.lgamma(x + 1) for x in range(n + 1)]
+    total = 0.0
+    for ai in a_counts:
+        ai = int(ai)
+        for bj in b_counts:
+            bj = int(bj)
+            lo = max(1, ai + bj - n)
+            hi = min(ai, bj)
+            for nij in range(lo, hi + 1):
+                log_prob = (
+                    log_fact[ai]
+                    + log_fact[bj]
+                    + log_fact[n - ai]
+                    + log_fact[n - bj]
+                    - log_fact[n]
+                    - log_fact[nij]
+                    - log_fact[ai - nij]
+                    - log_fact[bj - nij]
+                    - log_fact[n - ai - bj + nij]
+                )
+                term = (nij / n) * math.log(n * nij / (ai * bj))
+                total += term * math.exp(log_prob)
+    return total
+
+
+def cluster_stats_by_sets(g: Graph, part: Partition, min_size: int) -> list[ClusterStatsRow]:
+    """cluster_stats with each clustering coefficient counted pair by pair
+    over Python neighbor sets."""
+    assign = part.assignment.tolist()
+    k = part.num_clusters
+    internal, external = [0] * k, [0] * k
+    neighbors: list[set[int]] = [set() for _ in range(g.n)]
+    for a, b in zip(g.u.tolist(), g.v.tolist()):
+        if a == b:
+            internal[assign[a]] += 1
+            continue
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+        if assign[a] == assign[b]:
+            internal[assign[a]] += 1
+        else:
+            external[assign[a]] += 1
+            external[assign[b]] += 1
+    coeff = []
+    for node in range(g.n):
+        around = sorted(neighbors[node])
+        deg = len(around)
+        links = sum(
+            1 for i in range(deg) for j in range(i + 1, deg) if around[j] in neighbors[around[i]]
+        )
+        coeff.append(links / (deg * (deg - 1) / 2) if deg >= 2 else 0.0)
+    rows = []
+    for c in range(k):
+        members = [i for i in range(g.n) if assign[i] == c]
+        size = len(members)
+        if size < min_size:
+            continue
+        m_s, c_s = internal[c], external[c]
+        whole = size == g.n
+        rows.append(
+            ClusterStatsRow(
+                cluster=c,
+                size=size,
+                density=m_s / (size * (size - 1) / 2) if size > 1 else 0.0,
+                clustering=float(np.mean([coeff[i] for i in members])),
+                conductance=c_s / (m_s + c_s) if (m_s + c_s) > 0 else 0.0,
+                cut_ratio=0.0 if whole else c_s / (size * (g.n - size)),
+                whole_graph=whole,
+            )
+        )
+    return rows
+
+
+@st.composite
+def partitions(draw, n: int) -> Partition:
+    """A partition of n nodes: one cluster, all singletons, or random labels."""
+    kind = draw(st.sampled_from(["single", "singletons", "random"]))
+    if kind == "single":
+        return Partition.single_cluster(n)
+    if kind == "singletons":
+        return Partition.singletons(n)
+    k = draw(st.integers(1, n))
+    return Partition(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
 
 
 # --------------------------------------------------------------- contingency
@@ -154,6 +243,19 @@ def test_partition_relabel_invariance(seed, n, data):
     assert evaluate_partition(walk, relabelled).value == evaluate_partition(walk, part).value
     assert modularity(g, relabelled) == modularity(g, part)
     assert ami(part, relabelled) == 1.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(partitions(n), partitions(n))))
+def test_expected_mi_matches_triple_loop(pair):
+    a, b = pair
+    table = contingency(a, b)
+    a_counts, b_counts = table.sum(axis=1), table.sum(axis=0)
+    got = _expected_mi(a_counts, b_counts, a.n)
+    assert abs(got - expected_mi_loop(a_counts, b_counts, a.n)) <= 1e-12
+    assert ami(a, a) == 1.0
+    if a.num_clusters > 1:
+        assert ami(a, Partition.single_cluster(a.n)) == 0.0
 
 
 def test_ami_requires_same_length():
@@ -335,6 +437,20 @@ def test_cluster_stats_fields_stay_in_unit_range():
         for r in cluster_stats(g, part, min_size=1):
             for field in (r.density, r.clustering, r.conductance, r.cut_ratio):
                 assert 0.0 <= field <= 1.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)),
+    partitions(n),
+)))
+def test_cluster_stats_matches_neighbor_sets(case):
+    # simple graphs, self-loops included
+    n, edges, part = case
+    u, v = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
+    g = Graph(n=n, u=u, v=v, w=np.ones(len(edges)))
+    assert cluster_stats(g, part, min_size=1) == cluster_stats_by_sets(g, part, min_size=1)
 
 
 def test_cluster_stats_csv_layout():

@@ -171,14 +171,25 @@ def test_aggregated_graph_reproduces_coarse_walk():
         assert lifted.bound_cluster_mi == pytest.approx(flat.bound_cluster_mi, abs=1e-12)
 
 
-def test_aggregated_graph_respects_coarser_partitions():
-    # the optimizer coarsens under both criteria it searches by moves
-    rng = np.random.default_rng(83)
-    g = random_connected_graph(rng, 18, 0.3)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 18).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+)))
+def test_aggregated_graph_respects_coarser_partitions(case):
+    # the optimizer coarsens under both criteria it searches by moves; a path
+    # through the drawn node order keeps each graph connected, and the extra
+    # pairs may be self-loops
+    order, extra, labels, merge_labels = case
+    edges = sorted({tuple(sorted(pair)) for pair in [*zip(order, order[1:]), *extra]})
+    u, v = np.array(edges).T
+    g = Graph(n=len(order), u=u, v=v, w=np.ones(len(edges)))
     w = transition_matrix(g)
-    part = random_partition(rng, g.n, k_max=8)
+    part = Partition(labels)
     cw = transition_matrix(_aggregate_graph(w, part))
-    merge = Partition(np.arange(part.num_clusters) % 2)
+    merge = Partition(merge_labels[:part.num_clusters])
     flat_merge = Partition(merge.assignment[part.assignment])
     for criterion in (SYNTHESIS, MODULARITY):
         flat = FlowMoveState(w, flat_merge, criterion).value()

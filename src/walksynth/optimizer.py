@@ -123,66 +123,6 @@ def _chain_pass(state: FlowMoveState) -> bool:
     return True
 
 
-def _merge_chain(state: FlowMoveState) -> bool:
-    """Merge the least-bad adjacent cluster pair all the way down, then keep
-    the best prefix if it gained; complements single-node chains, which
-    cannot coordinate multi-node regroupings."""
-    ids = np.array(state.active)
-    k = len(ids)
-    if k < 2:
-        return False
-    F = np.zeros((k, k))
-    dense = np.full(len(state.counts), -1)
-    dense[ids] = np.arange(k)
-    asg = dense[state.assignment]
-    coo = state.walk.flows.tocoo()
-    np.add.at(F, (asg[coo.row], asg[coo.col]), coo.data)
-    F = 0.5 * (F + F.T)
-    # the merge sequence is simulated on cluster masses and flows F alone
-    m = np.array(state.mass)[ids]
-    alive = np.ones(k, dtype=bool)
-
-    seq: list[tuple[int, int]] = []
-    cum, best_cum, best_len = 0.0, 0.0, 0
-    for _ in range(k - 1):
-        deltas = _merge_deltas_live(state.criterion, m, F, alive)
-        i, j = np.unravel_index(int(np.argmax(deltas)), deltas.shape)
-        if not np.isfinite(deltas[i, j]):
-            break
-        cum += float(deltas[i, j])
-        F[i, :] += F[j, :]
-        F[:, i] += F[:, j]
-        F[j, :] = 0.0
-        F[:, j] = 0.0
-        m[i] += m[j]
-        m[j] = 0.0
-        alive[j] = False
-        seq.append((int(ids[i]), int(ids[j])))
-        if cum > best_cum:
-            best_cum, best_len = cum, len(seq)
-    if best_cum <= MIN_GAIN:
-        return False
-    for target, source in seq[:best_len]:
-        for node in [node for node, c in enumerate(state.assignment) if c == source]:
-            state.apply(node, target)
-    return True
-
-
-def _merge_deltas_live(criterion, m: np.ndarray, F: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    w = np.diag(F)
-    M2 = m[:, None] + m[None, :]
-    W2 = w[:, None] + w[None, :] + 2.0 * F
-    single = criterion.terms(m, w)
-    deltas = criterion.terms(M2, W2) - single[:, None] - single[None, :]
-    dead = ~alive
-    if not criterion.dense_targets:
-        deltas[F <= 0.0] = -np.inf
-    deltas[dead, :] = -np.inf
-    deltas[:, dead] = -np.inf
-    deltas[np.tril_indices_from(deltas)] = -np.inf
-    return deltas
-
-
 def _walk_key(walk: RandomWalk) -> tuple[bytes, ...]:
     f = walk.flows
     return (
@@ -205,17 +145,17 @@ def _state_key(state: FlowMoveState) -> tuple[bytes, ...]:
 def _refine_level(
     state: FlowMoveState, rng: np.random.Generator, dead_ends: dict[tuple, set[tuple]]
 ) -> None:
-    """Local moving, then on small levels the escapes until both fail.
+    """Local moving, then on small levels the chain escape until it fails.
 
-    ``dead_ends`` maps a walk's key to the keys of the states on it where both
-    escapes failed, and is shared by every level of one ``optimize`` call.
+    ``dead_ends`` maps a walk's key to the keys of the states on it where the
+    chain escape failed, and is shared by every level of one ``optimize`` call.
     """
     _local_moving(state, rng)
     if len(state.assignment) > CHAIN_NODE_CAP:
         return
-    # Skipping a known dead end is exact: both escapes are deterministic in
+    # Skipping a known dead end is exact: the chain escape is deterministic in
     # the walk and the state's assignment, mass, within and free ids (the
-    # rest of the state follows from these), they draw no random numbers, and
+    # rest of the state follows from these), it draws no random numbers, and
     # a failed escape restores the state bit for bit. The keys are raw bytes,
     # so a match is an exact match.
     dead = dead_ends.setdefault(_walk_key(state.walk), set())
@@ -223,16 +163,10 @@ def _refine_level(
         key = _state_key(state)
         if key in dead:
             return
-        changed = False
-        if _merge_chain(state):
-            _local_moving(state, rng)
-            changed = True
-        if _chain_pass(state):
-            _local_moving(state, rng)
-            changed = True
-        if not changed:
+        if not _chain_pass(state):
             dead.add(key)
             return
+        _local_moving(state, rng)
 
 
 def _partition_value(walk: RandomWalk, part: Partition, criterion) -> float:
@@ -265,7 +199,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     The search settings are fixed: 16 restarts on graphs of at most
     CHAIN_NODE_CAP = 128 nodes (the first from singletons, the rest from
     random partitions) and 4 from singletons on larger ones; the chained-move
-    and merge escapes on every level of at most 128 nodes; a minimum gain of
+    escape on every level of at most 128 nodes; a minimum gain of
     MIN_GAIN = 1e-12; at most MAX_ROUNDS = 100 rounds per restart.
 
     ``cfg.objective`` names the criterion searched. Under "cluster_mi" no

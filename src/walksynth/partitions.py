@@ -24,15 +24,12 @@ class Partition:
         raw = np.asarray(assignment, dtype=np.int64)
         if raw.ndim != 1 or len(raw) == 0:
             raise ValueError("assignment must be a nonempty 1-d sequence")
-        remap: dict[int, int] = {}
-        dense = np.empty(len(raw), dtype=np.int64)
-        for i, c in enumerate(raw):
-            c = int(c)
-            if c not in remap:
-                remap[c] = len(remap)
-            dense[i] = remap[c]
-        self.assignment = dense
-        self.num_clusters = len(remap)
+        labels, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+        # rank each label by where it first appears
+        rank = np.empty(len(labels), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(labels))
+        self.assignment = rank[inverse]
+        self.num_clusters = len(labels)
 
     @property
     def n(self) -> int:
@@ -103,6 +100,7 @@ def partition_for_graph(mapping: dict[int, int], labels: np.ndarray) -> Partitio
     Raises:
         ValueError: when the mapping's node set differs from the graph's.
     """
-    if set(mapping) != {int(x) for x in labels}:
+    nodes = labels.tolist()
+    if set(mapping) != set(nodes):
         raise ValueError("partition node set does not match the graph")
-    return Partition(np.array([mapping[int(lab)] for lab in labels]))
+    return Partition(np.array([mapping[lab] for lab in nodes]))

@@ -227,6 +227,24 @@ _INT64 = st.one_of(
 )
 
 
+def first_appearance_loop(raw: list[int]) -> tuple[list[int], int]:
+    """Dense cluster ids in first-appearance order, one label at a time."""
+    remap: dict[int, int] = {}
+    dense = [remap.setdefault(c, len(remap)) for c in raw]
+    return dense, len(remap)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_INT64, min_size=1, max_size=12, unique=True).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+def test_partition_relabels_in_first_appearance_order(raw):
+    dense, k = first_appearance_loop(raw)
+    for part in (Partition(raw), Partition(np.array(raw, dtype=np.int64))):
+        assert part.assignment.dtype == np.int64
+        assert part.assignment.tolist() == dense
+        assert part.num_clusters == k
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 15), st.data())
 def test_partition_relabel_invariance(seed, n, data):

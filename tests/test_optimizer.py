@@ -30,8 +30,9 @@ from walksynth import (
     PlantedPartitionParams,
     RandomWalk,
 )
+from walksynth import optimizer
 from walksynth.objective import MODULARITY, SYNTHESIS
-from walksynth.optimizer import _aggregate_graph, _chain_pass, _local_moving, _merge_chain
+from walksynth.optimizer import _aggregate_graph, _chain_pass, _local_moving, _refine_level
 from util import random_connected_graph, random_partition, triangle
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -136,23 +137,51 @@ def _bits(assignment, mass, within, counts, free_ids, cluster_terms, active) -> 
 @given(st.sampled_from([SYNTHESIS, MODULARITY]), st.integers(0, 2**32 - 1), st.integers(3, 20),
        st.booleans())
 def test_failed_escapes_leave_the_state_bit_for_bit(criterion, seed, n, settle):
-    # the premise that lets a level skip a state on which both escapes
+    # the premise that lets a level skip a state on which the chain escape
     # already failed: a failed escape changes nothing
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, 0.4)
     state = FlowMoveState(transition_matrix(g), random_partition(rng, n), criterion)
     if settle:
         _local_moving(state, rng)
-    failed = 0
-    while failed < 2:
-        failed = 0
-        for escape in (_merge_chain, _chain_pass):
-            before = _bits(*state.snapshot())
-            if not escape(state):
-                after = _bits(state.assignment, state.mass, state.within, state.counts,
-                              state.free_ids, state.cluster_terms, state.active)
-                assert after == before, escape.__name__
-                failed += 1
+    while True:
+        before = _bits(*state.snapshot())
+        if not _chain_pass(state):
+            break
+    after = _bits(state.assignment, state.mass, state.within, state.counts, state.free_ids,
+                  state.cluster_terms, state.active)
+    assert after == before
+
+
+@pytest.mark.parametrize("criterion", [SYNTHESIS, MODULARITY])
+def test_refine_level_skips_a_known_dead_end(monkeypatch, criterion):
+    calls = []
+
+    def counting_chain_pass(state):
+        calls.append(state)
+        return _chain_pass(state)
+
+    monkeypatch.setattr(optimizer, "_chain_pass", counting_chain_pass)
+    rng = np.random.default_rng(83)
+    for n in (6, 12, 20):
+        g = random_connected_graph(rng, n, 0.4)
+        walk = transition_matrix(g)
+        # a settled level state: local moving and the chain escape are done
+        settled = FlowMoveState(walk, random_partition(rng, n), criterion)
+        _refine_level(settled, rng, {})
+        # two equal copies of it, on the same walk
+        first, second = (FlowMoveState(walk, settled.partition(), criterion) for _ in range(2))
+        first.restore(settled.snapshot())
+        second.restore(settled.snapshot())
+
+        dead_ends: dict = {}
+        calls.clear()
+        _refine_level(first, rng, dead_ends)
+        assert len(calls) == 1
+        calls.clear()
+        _refine_level(second, rng, dead_ends)
+        assert calls == []
+        assert _bits(*second.snapshot()) == _bits(*first.snapshot())
 
 
 # ------------------------------------------------------ level aggregation

@@ -73,6 +73,11 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "SweepSpec":
+        if not isinstance(data, dict):
+            raise ValueError("sweep config must be a JSON object")
+        for key in ("community_sizes", "mu", "objectives"):
+            if not isinstance(data.get(key, []), list):
+                raise ValueError(f"sweep config key {key!r} must be a list")
         try:
             return SweepSpec(
                 community_sizes=[int(s) for s in data["community_sizes"]],
@@ -84,6 +89,8 @@ class SweepSpec:
             )
         except KeyError as missing:
             raise ValueError(f"sweep config is missing key {missing}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed sweep config: {exc}") from None
 
     @staticmethod
     def from_json(source: str | Path | IO[str]) -> "SweepSpec":

@@ -86,10 +86,6 @@ class Graph:
         return bool(np.all(self.w == 1.0))
 
     @cached_property
-    def has_self_loops(self) -> bool:
-        return bool(np.any(self.u == self.v))
-
-    @cached_property
     def adjacency(self) -> sparse.csr_matrix:
         """Symmetric weighted adjacency, self-loop entries doubled so row
         sums equal degrees."""
@@ -104,16 +100,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Per-node degree: incident weight sum, self-loops counted twice."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
-
-    def degree(self, node: int) -> float:
-        return float(self.degrees[node])
-
-    def label_of(self, node: int) -> int:
-        return int(self.labels[node])
-
-    @cached_property
-    def label_to_node(self) -> dict[int, int]:
-        return {int(lab): i for i, lab in enumerate(self.labels)}
 
 
 def load_edge_list(source: str | Path | IO[str]) -> Graph:
@@ -219,31 +205,6 @@ def density(g: Graph) -> float:
     return 2.0 * m / (g.n * (g.n - 1))
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted node lists, ordered by smallest member."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(g.u, g.v):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-
-    groups: dict[int, list[int]] = {}
-    for node in range(g.n):
-        groups.setdefault(find(node), []).append(node)
-    return sorted(groups.values(), key=lambda c: c[0])
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
-
-
 @dataclass
 class PlantedPartitionParams:
     """Parameters for the planted block-model benchmark generator.
@@ -335,26 +296,12 @@ def planted_partition(params: PlantedPartitionParams, seed: int):
     return g, Partition(assignment)
 
 
-def complete_graph(n: int, with_self_loops: bool = False) -> Graph:
-    """Unweighted clique on n nodes.
+def disconnected_cliques(sizes: Iterable[int], with_self_loops: bool = False):
+    """Disjoint union of cliques plus its clique partition.
 
     With ``with_self_loops`` every node also carries a half-weight self-loop,
     which under the doubled self-loop degree convention makes one walk step
-    uniform over all n members including the current one.
-    """
-    a, b = np.triu_indices(n, k=1)
-    u = list(a)
-    v = list(b)
-    w = [1.0] * len(u)
-    if with_self_loops:
-        u += list(range(n))
-        v += list(range(n))
-        w += [0.5] * n
-    return Graph(n=n, u=np.array(u), v=np.array(v), w=np.array(w))
-
-
-def disconnected_cliques(sizes: Iterable[int], with_self_loops: bool = False):
-    """Disjoint union of cliques plus its clique partition.
+    uniform over all members of its clique, the current one included.
 
     Returns:
         (Graph, Partition) where the partition groups each clique.

@@ -3,8 +3,9 @@
 The primary criterion ("synthesis") scores a partition by how well a
 block-structured synthetic walk can mimic the network's walk: per cluster it
 takes the KL divergence between the conditional one-step stay probability and
-the cluster's stationary mass, weighted by that mass. Modularity and the
-cluster-level mutual information are carried as comparison criteria.
+the cluster's stationary mass, weighted by that mass. Modularity is carried
+as a comparison criterion, and the cluster-level mutual information as the
+synthesis value's upper bound.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class _Synthesis:
 
 
 class _Modularity:
-    """Flow-form modularity, within - mass**2: Newman's modularity on an
-    unweighted undirected graph, and the optimizer's weighted form."""
+    """Flow-form modularity, within - mass**2: Newman's modularity, with edge
+    weights on a weighted graph."""
 
     # a modularity gain needs shared flow
     dense_targets = False
@@ -98,14 +99,12 @@ class _Modularity:
 
     @staticmethod
     def weights(g: Graph) -> tuple:
-        # exact edge and degree counts, so equal counts tie exactly (the
-        # pairings of a 4-cycle and its single cluster all score 0)
-        if not g.is_unweighted:
-            raise ValueError("modularity is defined here for unweighted graphs only")
-        m_edges = g.num_edges
-        if m_edges == 0:
-            raise ValueError("modularity needs at least one edge")
-        return g.degrees, 2.0 * m_edges, g.u, g.v, np.ones(m_edges), m_edges
+        # exact edge and degree counts on an unweighted graph, so equal counts
+        # tie exactly (the pairings of a 4-cycle and its single cluster all score 0)
+        total = g.w.sum()
+        if not total > 0.0:
+            raise ValueError("modularity needs positive total edge weight")
+        return g.degrees, 2.0 * total, g.u, g.v, g.w, total
 
 
 SYNTHESIS = _Synthesis()
@@ -175,20 +174,21 @@ def evaluate_partition(walk: RandomWalk, part: Partition) -> ObjectiveReport:
 
 
 def modularity(g: Graph, part: Partition) -> float:
-    """Newman modularity of a partition of an unweighted undirected graph.
+    """Newman modularity of a partition of an undirected graph, with edge
+    weights in place of edge counts on a weighted graph.
 
     Raises:
-        ValueError: weighted input, or node-count mismatch.
+        ValueError: zero total edge weight, or node-count mismatch.
     """
-    degrees, two_m, u, v, _, m_edges = MODULARITY.weights(g)
+    degrees, two_m, u, v, w, m = MODULARITY.weights(g)
     if part.n != g.n:
         raise ValueError(f"partition covers {part.n} nodes, graph has {g.n}")
     assign = part.assignment
     internal = np.bincount(
-        assign[u], weights=(assign[u] == assign[v]).astype(float), minlength=part.num_clusters
+        assign[u], weights=w * (assign[u] == assign[v]), minlength=part.num_clusters
     )
     degree_sums = np.bincount(assign, weights=degrees, minlength=part.num_clusters)
-    return float(np.sum(MODULARITY.terms(degree_sums / two_m, internal / m_edges)))
+    return float(np.sum(MODULARITY.terms(degree_sums / two_m, internal / m)))
 
 
 @dataclass

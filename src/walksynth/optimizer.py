@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -21,15 +20,9 @@ import numpy as np
 from .graph import Graph
 from .objective import CRITERIA, FRESH, FlowMoveState, ObjectiveReport, evaluate_partition
 from .partitions import Partition
-from .walk import (
-    ClusterAggregates,
-    RandomWalk,
-    cluster_aggregates,
-    mutual_info_clusters,
-    transition_matrix,
-)
+from .walk import RandomWalk, cluster_aggregates, transition_matrix
 
-OBJECTIVES = ("synthesis", "modularity", "cluster_mi")
+OBJECTIVES = tuple(CRITERIA)
 
 #: Levels at most this large also get the chained-move escape phase.
 CHAIN_NODE_CAP = 128
@@ -202,11 +195,6 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     escape on every level of at most 128 nodes; a minimum gain of
     MIN_GAIN = 1e-12; at most MAX_ROUNDS = 100 rounds per restart.
 
-    ``cfg.objective`` names the criterion searched. Under "cluster_mi" no
-    search runs: by the data processing inequality no coarsening raises the
-    cluster-level mutual information above the node-level one, so the
-    singletons are an optimum.
-
     Args:
         g: undirected graph with positive degrees.
         cfg: optimizer settings; defaults to the synthesis objective, seed 0.
@@ -218,8 +206,6 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
     walk0 = transition_matrix(g)
-    if cfg.objective == "cluster_mi":
-        return Partition.singletons(g.n), evaluate_partition(walk0, Partition.singletons(g.n))
     criterion = CRITERIA[cfg.objective]
     rng = np.random.default_rng(cfg.seed)
 
@@ -296,7 +282,7 @@ def brute_force_optimum(
 
     Ties break toward fewer clusters, then the lexicographically smallest
     assignment (enumeration order). The single cluster scores exactly 0
-    under synthesis and modularity.
+    under either criterion.
 
     Args:
         g: the graph; must have at most ``n_cap`` nodes.
@@ -311,16 +297,13 @@ def brute_force_optimum(
     if g.n > n_cap:
         raise ValueError(f"graph has {g.n} nodes, exceeding the enumeration cap {n_cap}")
 
-    if objective == "cluster_mi":
-        score = partial(_block_cluster_mi, transition_matrix(g))
-    else:
-        criterion = CRITERIA[objective]
-        score = partial(_block_values, criterion, criterion.weights(g))
+    criterion = CRITERIA[objective]
+    weights = criterion.weights(g)
 
     best_val, best_k, best_a = -np.inf, 0, None
     partitions = set_partitions(g.n)
     while len(block := np.array([a.copy() for a in islice(partitions, ORACLE_BLOCK)])):
-        values = score(block)
+        values = _block_values(criterion, weights, block)
         ks = block.max(axis=1) + 1
         top = np.flatnonzero(values == values.max())
         i = top[np.argmin(ks[top])]
@@ -352,15 +335,3 @@ def _block_values(criterion, weights: tuple, block: np.ndarray) -> np.ndarray:
         values += column
     values[block.max(axis=1) == 0] = 0.0
     return values
-
-
-def _block_cluster_mi(walk: RandomWalk, block: np.ndarray) -> np.ndarray:
-    """Cluster-level mutual information of each row of a (B, n) assignment array."""
-    n = block.shape[1]
-    f = walk.flows.tocoo()
-    p_i = _cluster_sums(block, walk.p, n)
-    p_ij = _cluster_sums(block[:, f.row] * n + block[:, f.col], f.data, n * n).reshape(-1, n, n)
-    return np.array([
-        mutual_info_clusters(ClusterAggregates(p_i[r, :k], p_ij[r, :k, :k]))
-        for r, k in enumerate(block.max(axis=1) + 1)
-    ])

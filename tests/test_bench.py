@@ -44,8 +44,9 @@ def test_spec_validation():
         small_spec(mu_values=[0.2, 1.0])
     with pytest.raises(ValueError):
         small_spec(realizations=0)
-    with pytest.raises(ValueError):
-        small_spec(objectives=("fancy",))
+    for objectives in [("fancy",), ("cluster_mi",)]:
+        with pytest.raises(ValueError):
+            small_spec(objectives=objectives)
     with pytest.raises(ValueError):
         small_spec(k_avg=0.0)
 

@@ -62,10 +62,15 @@ def test_detect_then_eval_round_trip(triangles, tmp_path, capsys):
 
 
 def test_detect_rejects_unknown_objective(triangles, capsys):
+    # cluster_mi is no objective: the singletons maximize it on every graph
     graph, _ = triangles
-    rc, _, stderr = run(capsys, "detect", "--graph", graph, "--objective", "louvain")
-    assert rc == 1
-    assert "objective" in stderr
+    for command in ("detect", "oracle"):
+        for objective in ("louvain", "cluster_mi"):
+            rc, stdout, stderr = run(capsys, command, "--graph", graph, "--objective", objective)
+            assert rc == 1
+            assert stdout == ""
+            assert stderr.startswith("usage:")
+            assert "objective" in stderr
 
 
 # ---------------------------------------------------------------------- eval
@@ -264,15 +269,29 @@ def test_sweep_failure_warning_goes_to_stderr(tmp_path, capsys):
 
 
 def test_sweep_rejects_bad_config(tmp_path, capsys):
+    good = {"community_sizes": [4, 4], "k_avg": 2, "mu": [0.2], "realizations": 1}
+    cases = [
+        ({"community_sizes": [4, 4]}, "missing key"),
+        ({**good, "mu": 0.3}, "'mu' must be a list"),
+        ({**good, "community_sizes": 20}, "'community_sizes' must be a list"),
+        ([good], "must be a JSON object"),
+        ({**good, "objectives": "modularity"}, "'objectives' must be a list"),
+        ({**good, "objectives": ["cluster_mi"]}, "unknown objective 'cluster_mi'"),
+        ({**good, "realizations": None}, "malformed sweep config"),
+        ({**good, "mu": [[0.2]]}, "malformed sweep config"),
+    ]
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"community_sizes": [4, 4]}))
-    rc, _, stderr = run(
-        capsys,
-        "sweep", "--config", config,
-        "--out-raw", tmp_path / "r.csv", "--out-agg", tmp_path / "a.csv",
-    )
-    assert rc == 2
-    assert "missing key" in stderr
+    for data, message in cases:
+        config.write_text(json.dumps(data))
+        rc, stdout, stderr = run(
+            capsys,
+            "sweep", "--config", config,
+            "--out-raw", tmp_path / "r.csv", "--out-agg", tmp_path / "a.csv",
+        )
+        assert rc == 2, data
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert message in stderr
 
 
 # -------------------------------------------------------------------- oracle

@@ -267,31 +267,54 @@ def load_four_cycle():
 def test_modularity_input_restrictions():
     from walksynth import Graph
 
-    weighted = Graph(n=2, u=np.array([0]), v=np.array([1]), w=np.array([2.0]))
+    # edge weights count in place of edges, a self-loop once inside its
+    # cluster and twice in its node's degree: 3/6 - (9/12)**2 - (3/12)**2
+    weighted = Graph(n=3, u=np.array([0, 0, 1]), v=np.array([0, 1, 2]), w=np.array([1.0, 2.0, 3.0]))
+    assert modularity(weighted, Partition([0, 0, 1])) == pytest.approx(-0.125, abs=1e-15)
+    weightless = Graph(n=2, u=np.array([0]), v=np.array([1]), w=np.array([0.0]))
     with pytest.raises(ValueError):
-        modularity(weighted, Partition.single_cluster(2))
+        modularity(weightless, Partition.single_cluster(2))
     g, part = disconnected_cliques([3, 3])
     with pytest.raises(ValueError):
         modularity(g, Partition.singletons(5))
 
 
+def weighted_version(rng, g):
+    """``g`` with random edge weights and self-loops on about half its nodes."""
+    from walksynth import Graph
+
+    loops = np.flatnonzero(rng.random(g.n) < 0.5)
+    u, v = np.concatenate([g.u, loops]), np.concatenate([g.v, loops])
+    return Graph(n=g.n, u=u, v=v, w=rng.uniform(0.1, 3.0, len(u)))
+
+
 def test_modularity_and_its_exhaustive_optimum_match_networkx():
     nx = pytest.importorskip("networkx")
     from walksynth import brute_force_optimum, set_partitions
+    from walksynth.optimizer import _partition_value
 
     def nx_modularity(g, assignment):
         graph = nx.Graph()
         graph.add_nodes_from(range(g.n))
-        graph.add_edges_from(zip(g.u.tolist(), g.v.tolist()))
+        graph.add_weighted_edges_from(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
         return nx.community.modularity(graph, Partition(assignment).members())
 
     rng = np.random.default_rng(97)
+    small, large = [], []
     for _ in range(20):
         g = random_connected_graph(rng, int(rng.integers(4, 30)), 0.3)
-        part = random_partition(rng, g.n)
-        assert modularity(g, part) == pytest.approx(nx_modularity(g, part.assignment), abs=1e-12)
+        large.append((g, random_partition(rng, g.n)))
     for _ in range(5):
-        g = random_connected_graph(rng, int(rng.integers(4, 8)), 0.4)
+        small.append(random_connected_graph(rng, int(rng.integers(4, 8)), 0.4))
+    weights = np.random.default_rng(98)
+    large += [(weighted_version(weights, g), part) for g, part in large]
+    small += [weighted_version(weights, g) for g in small]
+    for g, part in large:
+        assert modularity(g, part) == pytest.approx(nx_modularity(g, part.assignment), abs=1e-12)
+        # the search's flow form scores the same partition alike
+        flow = _partition_value(transition_matrix(g), part, MODULARITY)
+        assert modularity(g, part) == pytest.approx(flow, abs=1e-12)
+    for g in small:
         part, value = brute_force_optimum(g, objective="modularity")
         best = max(nx_modularity(g, a) for a in set_partitions(g.n))
         assert value == pytest.approx(best, abs=1e-12)

@@ -17,12 +17,8 @@ from walksynth import (
     Partition,
     ami,
     brute_force_optimum,
-    cluster_aggregates,
-    complete_graph,
     disconnected_cliques,
     evaluate_partition,
-    mutual_info_clusters,
-    mutual_info_nodes,
     optimize,
     planted_partition,
     set_partitions,
@@ -65,7 +61,7 @@ def test_determinism_same_seed_same_result():
 
 def test_complete_graph_keeps_singletons():
     # uniform rows: every node is its own best cluster, J hits the node MI
-    g = complete_graph(6)
+    g, _ = disconnected_cliques([6])
     part, report = optimize(g)
     assert part == Partition.singletons(6)
     assert report.value == pytest.approx(math.log2(6.0 / 5.0), abs=1e-12)
@@ -81,17 +77,6 @@ def test_modularity_objective_two_triangles():
     assert modularity(g, part) == pytest.approx(0.5, abs=1e-12)
     # report always carries the synthesis value of the found partition
     assert report.value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cluster_mi_objective_prefers_singletons():
-    # coarse-graining never increases mutual information, so the raw
-    # cluster MI objective stalls at the singleton start
-    g, _ = disconnected_cliques([3, 3])
-    part, _ = optimize(g, OptimizerConfig(objective="cluster_mi"))
-    assert part == Partition.singletons(6)
-    w = transition_matrix(g)
-    agg = cluster_aggregates(w, part)
-    assert mutual_info_clusters(agg) == pytest.approx(mutual_info_nodes(w), abs=1e-12)
 
 
 def test_move_state_rejects_directed_walks():
@@ -278,15 +263,8 @@ def test_brute_force_agrees_with_optimizer_on_small_graphs():
 
 
 def test_brute_force_cap():
-    g = complete_graph(13)
+    g, _ = disconnected_cliques([13])
     with pytest.raises(ValueError, match="cap"):
         brute_force_optimum(g)
-    part, _ = brute_force_optimum(complete_graph(4), n_cap=4)
+    part, _ = brute_force_optimum(disconnected_cliques([4])[0], n_cap=4)
     assert part == Partition.singletons(4)
-
-
-def test_brute_force_cluster_mi_matches_node_mi_ceiling():
-    g, _ = disconnected_cliques([3, 3])
-    part, value = brute_force_optimum(g, objective="cluster_mi")
-    assert part == Partition.singletons(6)
-    assert value == pytest.approx(mutual_info_nodes(transition_matrix(g)), abs=1e-12)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
-from walksynth import Graph, Partition, is_connected
+from walksynth import Graph, Partition
 
 
 def gnp_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -17,7 +18,7 @@ def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     """Rejection-sample G(n, p) until connected (implies positive degrees)."""
     while True:
         g = gnp_graph(rng, n, p)
-        if g.num_edges and is_connected(g):
+        if g.num_edges and connected_components(g.adjacency)[0] == 1:
             return g
 
 

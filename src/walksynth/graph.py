@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
-from scipy import sparse
 
 
 class EdgeListParseError(ValueError):
@@ -86,20 +85,37 @@ class Graph:
         return bool(np.all(self.w == 1.0))
 
     @cached_property
-    def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric weighted adjacency, self-loop entries doubled so row
-        sums equal degrees."""
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Symmetric weighted adjacency as CSR arrays ``(indptr, indices,
+        data)``: row a's columns ``indices[indptr[a]:indptr[a + 1]]`` ascend,
+        each once (parallel edges summed, zero weights kept), and self-loop
+        entries are doubled so row sums equal degrees."""
         loops = self.u == self.v
         data = np.concatenate([self.w[~loops], self.w[~loops], 2.0 * self.w[loops]])
         rows = np.concatenate([self.u[~loops], self.v[~loops], self.u[loops]])
         cols = np.concatenate([self.v[~loops], self.u[~loops], self.u[loops]])
-        a = sparse.coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
-        return a.tocsr()
+        # sorted, the keys row * n + col put the entries in CSR order
+        key, slot = np.unique(rows * self.n + cols, return_inverse=True)
+        # parallel edges add up one after another, in input order
+        summed = np.zeros(len(key))
+        np.add.at(summed, slot, data)
+        indptr = np.searchsorted(key, np.arange(self.n + 1) * self.n)
+        return indptr, key % self.n, summed
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Per-node degree: incident weight sum, self-loops counted twice."""
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+        indptr, _, data = self.adjacency
+        return row_sums(indptr, data)
+
+
+def row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Sum of each CSR row's entries in stored order, 0 for an empty row."""
+    sums = np.zeros(len(indptr) - 1)
+    nonempty = np.flatnonzero(np.diff(indptr))
+    if len(nonempty):
+        sums[nonempty] = np.add.reduceat(data, indptr[nonempty])
+    return sums
 
 
 def load_edge_list(source: str | Path | IO[str]) -> Graph:

@@ -8,7 +8,6 @@ from pathlib import Path
 from typing import IO
 
 import numpy as np
-from scipy import sparse
 
 from .graph import Graph, write_lines
 from .partitions import Partition
@@ -144,9 +143,11 @@ def mixing_parameter(g: Graph, part: Partition, node: int) -> float:
     k = g.degrees[node]
     if k <= 0:
         raise ValueError(f"node {node} has zero degree")
-    row = g.adjacency.getrow(node)
+    indptr, indices, _ = g.adjacency
     external = sum(
-        1 for j in row.indices if j != node and part.assignment[j] != part.assignment[node]
+        1
+        for j in indices[indptr[node]:indptr[node + 1]]
+        if j != node and part.assignment[j] != part.assignment[node]
     )
     return float(external / k)
 
@@ -164,6 +165,40 @@ def nld(g: Graph, part: Partition, node: int) -> float:
     if size < 2:
         raise ValueError(f"node {node} sits in a singleton cluster; nld undefined")
     return float(g.degrees[node]) / (size * (size - 1) / 2)
+
+
+def _neighbour_links(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, its number of other neighbours and the number of links among
+    them (the triangles through it); self-loops and parallel edges count as
+    no link and one link.
+
+    Each triangle a < b < c is found once, as a link a - b followed by a link
+    b - c whose end closes back to a. A block of TRIANGLE_BLOCK_ROWS values
+    of a takes a fixed number of numpy calls.
+    """
+    n = g.n
+    indptr, indices, _ = g.adjacency
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    deg = np.bincount(rows[indices != rows], minlength=n)
+    up = indices > rows
+    tails, heads = rows[up], indices[up]
+    starts = np.concatenate(([0], np.cumsum(up)))[indptr]
+    fans = np.diff(starts)
+    # every upward link as a sorted key, and n * n after them, which no
+    # lookup matches, to catch lookups past the last link
+    keys = np.append(tails * n + heads, n * n)
+    links = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, TRIANGLE_BLOCK_ROWS):
+        first, last = starts[lo], starts[min(lo + TRIANGLE_BLOCK_ROWS, n)]
+        a, b = tails[first:last], heads[first:last]
+        fan = fans[b]
+        # the links b - c of every a - b, one run after another
+        at = np.repeat(starts[b] - (np.cumsum(fan) - fan), fan) + np.arange(fan.sum())
+        a, b, c = np.repeat(a, fan), np.repeat(b, fan), heads[at]
+        closing = a * n + c
+        closed = keys[np.searchsorted(keys, closing)] == closing
+        links += np.bincount(np.concatenate((a[closed], b[closed], c[closed])), minlength=n)
+    return deg, links
 
 
 @dataclass
@@ -201,20 +236,7 @@ def cluster_stats(g: Graph, part: Partition, min_size: int = 3) -> list[ClusterS
     internal = np.bincount(ca[inside], minlength=k)
     external = np.bincount(ca[~inside], minlength=k) + np.bincount(cb[~inside], minlength=k)
 
-    # the simple adjacency: the graph's without its self-loops, one per link;
-    # a node's links among its neighbors are counted twice in (A @ A) * A
-    full = g.adjacency
-    owner = np.repeat(np.arange(g.n), np.diff(full.indptr))
-    off = full.indices != owner
-    deg = np.bincount(owner[off], minlength=g.n)
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    adj = sparse.csr_matrix(
-        (np.ones(indptr[-1], dtype=np.int32), full.indices[off], indptr), shape=(g.n, g.n)
-    )
-    links = np.zeros(g.n, dtype=np.int64)
-    for lo in range(0, g.n, TRIANGLE_BLOCK_ROWS):
-        block = adj[lo:lo + TRIANGLE_BLOCK_ROWS]
-        links[lo:lo + TRIANGLE_BLOCK_ROWS] = (block @ adj).multiply(block).sum(axis=1).A1 // 2
+    deg, links = _neighbour_links(g)
     coeff = np.divide(links, deg * (deg - 1) / 2, out=np.zeros(g.n), where=deg >= 2)
 
     rows = []

@@ -80,8 +80,7 @@ class _Synthesis:
     @staticmethod
     def weights(g: Graph) -> tuple:
         walk = transition_matrix(g)
-        f = walk.flows.tocoo()
-        return walk.p, 1.0, f.row, f.col, f.data, 1.0
+        return walk.p, 1.0, walk.rows, walk.indices, walk.flows, 1.0
 
 
 class _Modularity:
@@ -277,7 +276,9 @@ def objective_identity_check(walk: RandomWalk, part: Partition) -> tuple[float, 
     """
     params = optimal_parameters(walk, part)
     q = synthetic_transition_matrix(part, params)
-    lhs = kld_rate(walk.P, q, walk.p)
+    P = np.zeros((walk.n, walk.n))
+    P[walk.rows, walk.indices] = walk.P
+    lhs = kld_rate(P, q, walk.p)
     agg = cluster_aggregates(walk, part)
     rhs = mutual_info_nodes(walk) - synthesis_objective(agg).value
     return lhs, rhs
@@ -312,23 +313,23 @@ class FlowMoveState:
         # per node, its other neighbours and twice the flow to each; shared
         # by every state on this walk
         self.nbr_idx, self.nbr_flow = walk.neighbour_flows
-        f = walk.flows
         self.walk = walk
         self.criterion = criterion
         self.term = criterion.term
         self.node_mass: list[float] = walk.p.tolist()
-        self.self_flow: list[float] = f.diagonal().tolist()
+        rows, cols, f = walk.rows, walk.indices, walk.flows
+        loops = rows == cols
+        self_flow = np.zeros(n)
+        self_flow[rows[loops]] = f[loops]
+        self.self_flow: list[float] = self_flow.tolist()
 
         assignment = part.assignment
         k = part.num_clusters
-        mass = np.zeros(n, dtype=np.float64)
-        within = np.zeros(n, dtype=np.float64)
-        self.counts = np.zeros(n, dtype=np.int64)
-        np.add.at(mass, assignment, walk.p)
-        coo = f.tocoo()
-        same = assignment[coo.row] == assignment[coo.col]
-        np.add.at(within, assignment[coo.row[same]], coo.data[same])
-        np.add.at(self.counts, assignment, 1)
+        # bincount adds in stored order, as a Python loop would
+        mass = np.bincount(assignment, weights=walk.p, minlength=n)
+        same = assignment[rows] == assignment[cols]
+        within = np.bincount(assignment[rows[same]], weights=f[same], minlength=n)
+        self.counts = np.bincount(assignment, minlength=n)
         self.assignment: list[int] = assignment.tolist()
         self.mass: list[float] = mass.tolist()
         self.within: list[float] = within.tolist()

@@ -117,11 +117,10 @@ def _chain_pass(state: FlowMoveState) -> bool:
 
 
 def _walk_key(walk: RandomWalk) -> tuple[bytes, ...]:
-    f = walk.flows
     return (
-        f.indptr.astype(np.int64).tobytes(),
-        f.indices.astype(np.int64).tobytes(),
-        f.data.tobytes(),
+        walk.indptr.tobytes(),
+        walk.indices.tobytes(),
+        walk.flows.tobytes(),
         walk.p.tobytes(),
     )
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from .graph import Graph
+from .graph import Graph, row_sums
 from .partitions import Partition
 
 
@@ -24,22 +23,35 @@ class IsolatedNodeError(ValueError):
 
 @dataclass(eq=False)
 class RandomWalk:
-    """Row-stochastic transition matrix plus its invariant distribution."""
+    """Row-stochastic transition matrix plus its invariant distribution.
 
-    P: sparse.csr_matrix
+    The matrix is held as CSR arrays: row a's columns
+    ``indices[indptr[a]:indptr[a + 1]]`` ascend, each once, with transition
+    probabilities ``P`` at the same positions; transitions of probability 0
+    are not stored.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    P: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
-        n = self.P.shape[0]
-        if self.P.shape != (n, n) or len(self.p) != n:
+        n = len(self.p)
+        if len(self.indptr) != n + 1 or len(self.indices) != len(self.P):
             raise ValueError("transition matrix and distribution sizes differ")
-        rows = np.asarray(self.P.sum(axis=1)).ravel()
-        if np.any(np.abs(rows - 1.0) > 1e-10):
+        cols = self.indices
+        if len(cols) and (
+            cols.min() < 0 or cols.max() >= n or np.any(np.diff(self.rows * n + cols) <= 0)
+        ):
+            raise ValueError("each row's columns must lie in 0..n-1 and ascend")
+        sums = row_sums(self.indptr, self.P)
+        if np.any(np.abs(sums - 1.0) > 1e-10):
             raise ValueError("transition rows must sum to 1")
         if np.any(self.p < 0) or abs(self.p.sum() - 1.0) > 1e-12:
             raise ValueError("invariant distribution must be a probability vector")
-        drift = np.abs(self.p @ self.P - self.p)
+        drift = np.abs(np.bincount(self.indices, weights=self.flows, minlength=n) - self.p)
         if drift.max(initial=0.0) > 1e-10:
             raise ValueError("distribution is not invariant under the transition matrix")
 
@@ -48,9 +60,15 @@ class RandomWalk:
         return len(self.p)
 
     @cached_property
-    def flows(self) -> sparse.csr_matrix:
-        """Stationary edge flows F = diag(p) P; F sums to 1."""
-        return sparse.csr_matrix(self.P.multiply(self.p[:, None]))
+    def rows(self) -> np.ndarray:
+        """Row index of each stored transition."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @cached_property
+    def flows(self) -> np.ndarray:
+        """Stationary edge flows F = diag(p) P at the positions of ``P``; F
+        sums to 1."""
+        return self.p[self.rows] * self.P
 
     @cached_property
     def neighbour_flows(self) -> tuple[list[list[int]], list[list[float]]]:
@@ -61,14 +79,19 @@ class RandomWalk:
             ValueError: flows that are not symmetric, as only an undirected
                 walk's are.
         """
-        f = self.flows
-        if (abs(f - f.T) > 1e-15).nnz:
+        rows, cols, f = self.rows, self.indices, self.flows
+        # the transposed entries, sorted into the rows' order
+        flipped = np.argsort(cols * self.n + rows)
+        if not (
+            np.array_equal(cols[flipped], rows)
+            and np.array_equal(rows[flipped], cols)
+            and np.all(np.abs(f[flipped] - f) <= 1e-15)
+        ):
             raise ValueError("move gains need the symmetric flows of an undirected walk")
-        rows = np.repeat(np.arange(self.n), np.diff(f.indptr))
-        keep = f.indices != rows
-        bounds = np.concatenate(([0], np.cumsum(keep)))[f.indptr].tolist()
-        idx = f.indices[keep].tolist()
-        flow = (2.0 * f.data[keep]).tolist()
+        keep = cols != rows
+        bounds = np.concatenate(([0], np.cumsum(keep)))[self.indptr].tolist()
+        idx = cols[keep].tolist()
+        flow = (2.0 * f[keep]).tolist()
         spans = list(zip(bounds, bounds[1:]))
         return [idx[lo:hi] for lo, hi in spans], [flow[lo:hi] for lo, hi in spans]
 
@@ -81,14 +104,19 @@ def transition_matrix(g: Graph) -> RandomWalk:
     Raises:
         IsolatedNodeError: some node has zero degree.
     """
-    a = g.adjacency
-    degrees = np.asarray(a.sum(axis=1)).ravel()
+    indptr, indices, weights = g.adjacency
+    degrees = g.degrees
     if np.any(degrees <= 0.0):
         bad = int(np.argmin(degrees))
         raise IsolatedNodeError(f"node {bad} has zero degree")
-    inv = sparse.diags(1.0 / degrees)
-    P = sparse.csr_matrix(inv @ a)
-    return RandomWalk(P=P, p=degrees / degrees.sum())
+    rows = np.repeat(np.arange(g.n), np.diff(indptr))
+    P = (1.0 / degrees)[rows] * weights
+    # a zero-weight edge is no transition
+    taken = P != 0.0
+    if not taken.all():
+        indptr = np.concatenate(([0], np.cumsum(taken)))[indptr]
+        indices, P = indices[taken], P[taken]
+    return RandomWalk(indptr, indices, P, degrees / degrees.sum())
 
 
 @dataclass(eq=False)
@@ -129,19 +157,22 @@ def cluster_aggregates(walk: RandomWalk, part: Partition) -> ClusterAggregates:
     if np.any(p_i <= 0.0):
         bad = int(np.argmin(p_i))
         raise ValueError(f"cluster {bad} has zero stationary mass")
-    f = walk.flows.tocoo()
-    p_ij = np.zeros((k, k))
-    np.add.at(p_ij, (m[f.row], m[f.col]), f.data)
+    # bincount adds each cell's flows in stored order, as a Python loop would
+    cells = np.bincount(m[walk.rows] * k + m[walk.indices], weights=walk.flows, minlength=k * k)
+    p_ij = cells.reshape(k, k)
     return ClusterAggregates(p_i=p_i, p_ij=p_ij)
 
 
 def mutual_info_nodes(walk: RandomWalk) -> float:
     """Mutual information in bits between consecutive walker positions."""
-    coo = walk.P.tocoo()
-    mask = (coo.data > 0.0) & (walk.p[coo.row] > 0.0)
-    data = coo.data[mask]
-    rows = coo.row[mask]
-    cols = coo.col[mask]
+    # each row's columns are summed in descending order, so that reports keep
+    # the bits of bound_node_mi that earlier versions wrote: the order of a
+    # pairwise sum sets its last bits
+    rows = walk.rows
+    desc = walk.indptr[rows] + walk.indptr[rows + 1] - 1 - np.arange(len(rows))
+    data, cols = walk.P[desc], walk.indices[desc]
+    mask = (data > 0.0) & (walk.p[rows] > 0.0)
+    data, rows, cols = data[mask], rows[mask], cols[mask]
     return float(np.sum(walk.p[rows] * data * np.log2(data / walk.p[cols])))
 
 
@@ -153,9 +184,10 @@ def mutual_info_clusters(agg: ClusterAggregates) -> float:
     return float(np.sum(p_ij[mask] * np.log2(p_ij[mask] / outer[mask])))
 
 
-def kld_rate(P, Q, p: np.ndarray) -> float:
-    """KL divergence rate in bits between two walks sharing the invariant
-    distribution ``p``: sum over transitions of p_a P_ab log(P_ab / Q_ab).
+def kld_rate(P: np.ndarray, Q: np.ndarray, p: np.ndarray) -> float:
+    """KL divergence rate in bits between two walks, given as dense
+    transition matrices, sharing the invariant distribution ``p``: sum over
+    transitions of p_a P_ab log(P_ab / Q_ab).
 
     Returns +inf when Q assigns zero probability to a transition that P
     takes with positive stationary flow.
@@ -164,18 +196,14 @@ def kld_rate(P, Q, p: np.ndarray) -> float:
         ValueError: on dimension mismatch.
     """
     p = np.asarray(p, dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
     n = len(p)
-    q = np.asarray(Q.todense()) if sparse.issparse(Q) else np.asarray(Q, dtype=np.float64)
-    if q.shape != (n, n):
+    if P.shape != (n, n) or Q.shape != (n, n):
         raise ValueError("matrix shapes must match the distribution length")
-    coo = sparse.coo_matrix(P) if not sparse.issparse(P) else P.tocoo()
-    if coo.shape != (n, n):
-        raise ValueError("matrix shapes must match the distribution length")
-    mask = (coo.data > 0.0) & (p[coo.row] > 0.0)
-    data = coo.data[mask]
-    rows = coo.row[mask]
-    cols = coo.col[mask]
-    qvals = q[rows, cols]
+    rows, cols = np.nonzero((P > 0.0) & (p[:, None] > 0.0))
+    data = P[rows, cols]
+    qvals = Q[rows, cols]
     if np.any(qvals <= 0.0):
         return float("inf")
     return float(np.sum(p[rows] * data * np.log2(data / qvals)))

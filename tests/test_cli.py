@@ -2,9 +2,16 @@
 
 import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import walksynth
+from walksynth import load_edge_list, transition_matrix
 from walksynth.cli import main
 
 TRIANGLES = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
@@ -71,6 +78,29 @@ def test_detect_rejects_unknown_objective(triangles, capsys):
             assert stdout == ""
             assert stderr.startswith("usage:")
             assert "objective" in stderr
+
+
+def test_zero_weight_edge_changes_no_walk_and_no_detect_output(tmp_path, capsys):
+    # a zero-weight edge is no transition; nodes 1 and 4 keep other edges
+    # (integer weights sum exactly in any order)
+    edges = "0 1 2\n0 2\n1 2\n2 3\n3 4 2\n3 5\n4 5\n"
+    without, with_zero = tmp_path / "without.txt", tmp_path / "with_zero.txt"
+    without.write_text(edges)
+    with_zero.write_text(edges + "1 4 0\n")
+    w0, w1 = (transition_matrix(load_edge_list(path)) for path in (without, with_zero))
+    for attr in ("indptr", "indices", "P", "flows"):
+        assert np.array_equal(getattr(w0, attr), getattr(w1, attr)), attr
+    assert w0.neighbour_flows == w1.neighbour_flows
+    for objective in ("synthesis", "modularity"):
+        outputs = []
+        for graph in (without, with_zero):
+            out = tmp_path / f"{graph.stem}_{objective}.part"
+            rc, stdout, _ = run(
+                capsys, "detect", "--graph", graph, "--objective", objective, "--out", out
+            )
+            assert rc == 0
+            outputs.append((stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1], objective
 
 
 # ---------------------------------------------------------------------- eval
@@ -316,6 +346,35 @@ def test_oracle_refuses_large_graphs(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------- plumbing
+
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # the commands themselves import
+    script = textwrap.dedent(f"""
+        import sys
+        from walksynth.cli import main
+        d = {str(tmp_path)!r}
+        runs = [
+            ["gen", "--sizes", "4,4", "--k-avg", "3", "--mu", "0.1", "--seed", "1",
+             "--out-graph", d + "/g.txt", "--out-truth", d + "/t.txt"],
+            ["detect", "--graph", d + "/g.txt", "--out", d + "/p.txt"],
+            ["detect", "--graph", d + "/g.txt", "--objective", "modularity"],
+            ["eval", "--graph", d + "/g.txt", "--truth", d + "/t.txt", "--pred", d + "/p.txt"],
+            ["stats", "--graph", d + "/g.txt", "--partition", d + "/p.txt"],
+            ["oracle", "--graph", d + "/g.txt"],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(walksynth.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
 
 def test_missing_graph_file_is_a_data_error(tmp_path, capsys):
     rc, _, stderr = run(capsys, "detect", "--graph", tmp_path / "nope.txt")

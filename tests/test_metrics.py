@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from walksynth import (
     Graph,
     Partition,
+    PlantedPartitionParams,
     ami,
     classify_nodes,
     cluster_stats,
@@ -23,10 +24,11 @@ from walksynth import (
     mixing_parameter,
     modularity,
     nld,
+    planted_partition,
     transition_matrix,
     write_cluster_stats_csv,
 )
-from walksynth.metrics import ClusterStatsRow, _expected_mi
+from walksynth.metrics import TRIANGLE_BLOCK_ROWS, ClusterStatsRow, _expected_mi
 from util import gnp_graph, random_connected_graph, random_partition
 
 
@@ -469,6 +471,28 @@ def test_cluster_stats_matches_neighbor_sets(case):
     u, v = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
     g = Graph(n=n, u=u, v=v, w=np.ones(len(edges)))
     assert cluster_stats(g, part, min_size=1) == cluster_stats_by_sets(g, part, min_size=1)
+
+
+def test_cluster_stats_matches_neighbor_sets_across_blocks():
+    # more nodes than TRIANGLE_BLOCK_ROWS, with communities and hubs whose
+    # triangles span the block edges, and self-loops
+    assert TRIANGLE_BLOCK_ROWS < 1500
+    for seed in (1, 2):
+        g, part = planted_partition(PlantedPartitionParams([30] * 50, 8.0, 0.3), seed=seed)
+        rng = np.random.default_rng(seed)
+        hubs = np.repeat(rng.choice(g.n, 4, replace=False), 60)
+        ends = rng.integers(0, g.n, len(hubs))
+        loops = rng.choice(g.n, 20, replace=False)
+        pairs = np.concatenate([
+            np.column_stack([g.u, g.v]),
+            np.column_stack([np.minimum(hubs, ends), np.maximum(hubs, ends)]),
+            np.column_stack([loops, loops]),
+        ])
+        u, v = np.unique(pairs, axis=0).T
+        g = Graph(n=g.n, u=u, v=v, w=np.ones(len(u)))
+        links = u != v
+        assert np.bincount(np.concatenate([u[links], v[links]])).max() >= 50
+        assert cluster_stats(g, part, min_size=1) == cluster_stats_by_sets(g, part, min_size=1)
 
 
 def test_cluster_stats_csv_layout():

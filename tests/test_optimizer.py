@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from walksynth import (
     FlowMoveState,
@@ -82,7 +81,7 @@ def test_modularity_objective_two_triangles():
 def test_move_state_rejects_directed_walks():
     # gains count each neighbour's flow both ways as twice the one-way flow,
     # which holds only on a symmetric walk; the directed 3-cycle is not one
-    cycle = RandomWalk(sparse.csr_matrix(np.roll(np.eye(3), 1, axis=1)), np.full(3, 1 / 3))
+    cycle = RandomWalk(np.arange(4), np.array([1, 2, 0]), np.ones(3), np.full(3, 1 / 3))
     with pytest.raises(ValueError, match="symmetric"):
         FlowMoveState(cycle, Partition.singletons(3))
 

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from walksynth import (
     Graph,
     IsolatedNodeError,
     Partition,
+    RandomWalk,
     cluster_aggregates,
     disconnected_cliques,
     kld_rate,
@@ -18,14 +18,14 @@ from walksynth import (
     transition_matrix,
 )
 from walksynth.objective import SYNTHESIS
-from util import random_connected_graph, random_partition, triangle, path3
+from util import dense, random_connected_graph, random_partition, triangle, path3
 
 LOG2_3_OVER_2 = math.log2(1.5)  # 0.5849625007211562
 
 
 def mi_nodes_oracle(walk) -> float:
     # independent summation straight from the definition
-    P = np.asarray(walk.P.todense())
+    P = dense(walk, walk.P)
     total = 0.0
     for a in range(walk.n):
         for b in range(walk.n):
@@ -51,7 +51,7 @@ def lazy_power_iteration(P, n: int) -> np.ndarray:
 
 def test_triangle_walk():
     w = transition_matrix(triangle())
-    P = np.asarray(w.P.todense())
+    P = dense(w, w.P)
     expected = np.array([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]])
     assert np.array_equal(P, expected)
     assert np.array_equal(w.p, np.full(3, 1.0 / 3.0))
@@ -71,10 +71,18 @@ def test_two_triangles_uniform_stationary():
 def test_self_loop_clique_rows_are_uniform():
     g, _ = disconnected_cliques([3, 3], with_self_loops=True)
     w = transition_matrix(g)
-    P = np.asarray(w.P.todense())
+    P = dense(w, w.P)
     block = np.full((3, 3), 1.0 / 3.0)
     assert np.allclose(P[:3, :3], block)
     assert np.all(P[:3, 3:] == 0.0)
+
+
+def test_walk_rejects_rows_out_of_column_order():
+    # a transition stored twice, or columns out of order, would be summed
+    # wrong by the node mutual information
+    for indices in ([1, 0, 0, 1], [0, 0, 0, 1], [0, 2, 0, 1]):
+        with pytest.raises(ValueError, match="ascend"):
+            RandomWalk(np.array([0, 2, 4]), np.array(indices), np.full(4, 0.5), np.full(2, 0.5))
 
 
 def test_isolated_node_is_rejected():
@@ -88,7 +96,7 @@ def test_closed_form_matches_power_iteration():
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(4, 25)), 0.3)
         w = transition_matrix(g)
-        oracle = lazy_power_iteration(np.asarray(w.P.todense()), g.n)
+        oracle = lazy_power_iteration(dense(w, w.P), g.n)
         assert np.abs(w.p - oracle).max() < 1e-9
 
 
@@ -97,7 +105,7 @@ def test_stationarity_on_random_graphs():
     for _ in range(20):
         g = random_connected_graph(rng, int(rng.integers(3, 30)), 0.4)
         w = transition_matrix(g)
-        assert np.abs(w.p @ w.P - w.p).max() < 1e-12
+        assert np.abs(w.p @ dense(w, w.P) - w.p).max() < 1e-12
 
 
 def test_flows_sum_to_one():
@@ -138,7 +146,7 @@ def test_aggregates_of_singletons_reproduce_flows_exactly():
     w = transition_matrix(g)
     agg = cluster_aggregates(w, Partition.singletons(g.n))
     assert np.array_equal(agg.p_i, w.p)
-    assert np.array_equal(agg.p_ij, np.asarray(w.flows.todense()))
+    assert np.array_equal(agg.p_ij, dense(w, w.flows))
 
 
 def test_aggregates_row_sums_match_masses():
@@ -234,7 +242,7 @@ def test_data_processing_inequality():
 
 def test_kld_rate_identical_chains():
     w = transition_matrix(triangle())
-    assert kld_rate(w.P, w.P, w.p) == 0.0
+    assert kld_rate(dense(w, w.P), dense(w, w.P), w.p) == 0.0
 
 
 def test_kld_rate_zero_iff_equal_on_support():
@@ -242,8 +250,8 @@ def test_kld_rate_zero_iff_equal_on_support():
     for _ in range(20):
         g = random_connected_graph(rng, int(rng.integers(3, 15)), 0.4)
         w = transition_matrix(g)
-        q = np.asarray(w.P.todense()).copy()
-        assert kld_rate(w.P, q, w.p) == pytest.approx(0.0, abs=1e-15)
+        q = dense(w, w.P).copy()
+        assert kld_rate(dense(w, w.P), q, w.p) == pytest.approx(0.0, abs=1e-15)
         # shift mass within one positive row: rate must become positive
         row = int(rng.integers(0, g.n))
         idx = np.nonzero(q[row] > 0)[0]
@@ -251,24 +259,19 @@ def test_kld_rate_zero_iff_equal_on_support():
             continue
         q[row, idx[0]] *= 0.5
         q[row, idx[1]] += q[row, idx[0]]
-        assert kld_rate(w.P, q, w.p) > 0.0
+        assert kld_rate(dense(w, w.P), q, w.p) > 0.0
 
 
 def test_kld_rate_absolute_continuity_violation():
     w = transition_matrix(triangle())
-    q = np.asarray(w.P.todense()).copy()
+    q = dense(w, w.P).copy()
     q[0, 1] = 0.0
     q[0, 2] = 1.0
-    assert kld_rate(w.P, q, w.p) == math.inf
+    assert kld_rate(dense(w, w.P), q, w.p) == math.inf
 
 
 def test_kld_rate_dimension_mismatch():
     w = transition_matrix(triangle())
     with pytest.raises(ValueError):
-        kld_rate(w.P, np.eye(4), w.p)
+        kld_rate(dense(w, w.P), np.eye(4), w.p)
 
-
-def test_kld_rate_accepts_sparse_and_dense():
-    w = transition_matrix(path3())
-    dense = np.asarray(w.P.todense())
-    assert kld_rate(dense, sparse.csr_matrix(dense), w.p) == pytest.approx(0.0, abs=1e-15)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from walksynth import Graph, Partition
@@ -18,8 +19,18 @@ def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     """Rejection-sample G(n, p) until connected (implies positive degrees)."""
     while True:
         g = gnp_graph(rng, n, p)
-        if g.num_edges and connected_components(g.adjacency)[0] == 1:
+        if not g.num_edges:
+            continue
+        indptr, indices, data = g.adjacency
+        if connected_components(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))[0] == 1:
             return g
+
+
+def dense(walk, values: np.ndarray) -> np.ndarray:
+    """A walk's per-transition values (``P`` or ``flows``) as a dense matrix."""
+    out = np.zeros((walk.n, walk.n))
+    out[walk.rows, walk.indices] = values
+    return out
 
 
 def random_partition(rng: np.random.Generator, n: int, k_max: int | None = None) -> Partition:

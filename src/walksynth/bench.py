@@ -1,5 +1,4 @@
-"""Benchmark sweeps over planted-partition grids, their aggregation, and the
-per-node classification export.
+"""Benchmark sweeps over planted-partition grids and their aggregation.
 
 Result rows are fully determined by the sweep spec: per-realization seeds are
 derived by hashing the grid point, rows are sorted before writing, and wall
@@ -21,21 +20,18 @@ from typing import IO, Iterable
 import numpy as np
 
 from .graph import (
-    Graph,
     InfeasibleModelError,
     PlantedPartitionParams,
     planted_partition,
     read_text,
     write_lines,
 )
-from .metrics import ami, classify_nodes, mixing_parameter, nld
+from .metrics import ami
 from .optimizer import OBJECTIVES, OptimizerConfig, optimize
-from .partitions import Partition
 from .walk import IsolatedNodeError
 
 RAW_HEADER = "n,k_avg,sizes,mu,realization,objective,ami,objective_value,ms"
 AGG_HEADER = "n,k_avg,sizes,mu,objective,ami_mean,ami_std,count"
-CLASSIFICATION_HEADER = "node,degree,nld_true,nld_pred,mixing,correct"
 
 
 @dataclass
@@ -252,28 +248,3 @@ def write_raw_csv(rows: list[SweepResultRow], sink: str | Path | IO[str]) -> Non
 def write_agg_csv(rows: list[SweepAggRow], sink: str | Path | IO[str]) -> None:
     write_lines([AGG_HEADER] + [r.csv_line() for r in rows], sink)
 
-
-def classification_export(
-    g: Graph, y_true: Partition, y_pred: Partition, sink: str | Path | IO[str]
-) -> None:
-    """Per-node CSV relating classification outcomes to local structure:
-    degree, normalized local degree under both partitions (nan for singleton
-    clusters), mixing parameter under the truth, and greedy-match
-    correctness. Nodes are listed by their original labels."""
-    correct = classify_nodes(y_true, y_pred)
-    lines = [CLASSIFICATION_HEADER]
-    for node in range(g.n):
-        try:
-            nld_true = repr(nld(g, y_true, node))
-        except ValueError:
-            nld_true = "nan"
-        try:
-            nld_pred = repr(nld(g, y_pred, node))
-        except ValueError:
-            nld_pred = "nan"
-        mix = mixing_parameter(g, y_true, node)
-        lines.append(
-            f"{g.labels[node]},{float(g.degrees[node])!r},{nld_true},{nld_pred},"
-            f"{mix!r},{int(correct[node])}"
-        )
-    write_lines(lines, sink)

@@ -36,6 +36,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="walksynth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -43,7 +53,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("detect", help="find communities in a graph")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--objective", choices=OBJECTIVES, default="synthesis")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the partition file here")
     p.add_argument("--report", help="write the report JSON here")
     p.set_defaults(func=cmd_detect)
@@ -65,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sizes", help="comma-separated community sizes, e.g. 20,20,20")
     p.add_argument("--k-avg", type=float, dest="k_avg")
     p.add_argument("--mu", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--config", help="key=value file supplying any of the flags above")
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-truth", required=True)
@@ -179,6 +189,8 @@ def cmd_gen(args) -> int:
         k_avg = k_avg if k_avg is not None else float(kv["k_avg"]) if "k_avg" in kv else None
         mu = mu if mu is not None else float(kv["mu"]) if "mu" in kv else None
         seed = seed if seed is not None else int(kv["seed"]) if "seed" in kv else None
+        if seed is not None and seed < 0:
+            raise ValueError(f"{args.config}: seed must be non-negative, got {seed}")
     if not sizes_text or k_avg is None or mu is None:
         print("error: sizes, k_avg, and mu are required (flags or --config)", file=sys.stderr)
         return 1

@@ -209,18 +209,6 @@ def write_label_map(g: Graph, sink: str | Path | IO[str]) -> None:
     write_lines((f"{label} {i}" for i, label in enumerate(g.labels.tolist())), sink)
 
 
-def density(g: Graph) -> float:
-    """Fraction of distinct node pairs joined by an edge; self-loops excluded.
-
-    Raises:
-        ValueError: n < 2.
-    """
-    if g.n < 2:
-        raise ValueError("density needs at least two nodes")
-    m = int(np.count_nonzero(g.u != g.v))
-    return 2.0 * m / (g.n * (g.n - 1))
-
-
 @dataclass
 class PlantedPartitionParams:
     """Parameters for the planted block-model benchmark generator.

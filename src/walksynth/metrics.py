@@ -152,21 +152,6 @@ def mixing_parameter(g: Graph, part: Partition, node: int) -> float:
     return float(external / k)
 
 
-def nld(g: Graph, part: Partition, node: int) -> float:
-    """Normalized local degree: degree over the number of distinct pairs in
-    the node's cluster.
-
-    Raises:
-        ValueError: cluster smaller than two nodes.
-    """
-    if part.n != g.n:
-        raise ValueError("partition does not cover the graph")
-    size = int(part.sizes()[part.assignment[node]])
-    if size < 2:
-        raise ValueError(f"node {node} sits in a singleton cluster; nld undefined")
-    return float(g.degrees[node]) / (size * (size - 1) / 2)
-
-
 def _neighbour_links(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Per node, its number of other neighbours and the number of links among
     them (the triangles through it); self-loops and parallel edges count as

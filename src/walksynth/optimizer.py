@@ -1,6 +1,10 @@
 """Partition search: greedy local moving with cluster aggregation, plus an
 exhaustive enumeration oracle for small graphs.
 
+Local moving is the fast local moving of Leiden (Traag, Waltman & van Eck
+2019, arXiv:1810.08473): one pass over the nodes in random order, then only
+the neighbours of moved nodes, ending when that queue is empty.
+
 Local moving alone can stall on small dense graphs where every single-node
 merge loses before the first cluster forms, so each level also runs a
 deterministic chained-move phase: apply the best move repeatedly even when it
@@ -12,6 +16,7 @@ stationary flows, so objective values at coarser levels equal the flat ones.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
@@ -66,18 +71,24 @@ def _best_move(state: FlowMoveState, node: int, min_gain: float):
 
 
 def _local_moving(state: FlowMoveState, rng: np.random.Generator) -> None:
+    """Visit every node once in random order, then, after each move, the
+    moved node's neighbours outside its new cluster, until the queue is
+    empty. Each applied move gains more than MIN_GAIN, so the queue empties."""
     n = len(state.assignment)
-    order = np.arange(n)
-    while True:
-        rng.shuffle(order)
-        moves = 0
-        for node in order.tolist():
-            _, target = _best_move(state, node, MIN_GAIN)
-            if target is not None:
-                state.apply(node, target)
-                moves += 1
-        if moves == 0:
-            return
+    queue = deque(rng.permutation(n).tolist())
+    queued = [True] * n
+    assignment, nbr_idx = state.assignment, state.nbr_idx
+    while queue:
+        node = queue.popleft()
+        queued[node] = False
+        _, target = _best_move(state, node, MIN_GAIN)
+        if target is None:
+            continue
+        joined = state.apply(node, target)
+        for j in nbr_idx[node]:
+            if not queued[j] and assignment[j] != joined:
+                queued[j] = True
+                queue.append(j)
 
 
 def _chain_pass(state: FlowMoveState) -> bool:

@@ -1,22 +1,17 @@
-"""Benchmark sweep machinery: seed derivation, result rows, aggregation, and
-the per-node classification export."""
+"""Benchmark sweep machinery: seed derivation, result rows and aggregation."""
 
 import io
 import math
 from concurrent.futures import Future
 
-import numpy as np
 import pytest
 
-from walksynth import Partition, disconnected_cliques
 from walksynth.bench import (
     AGG_HEADER,
-    CLASSIFICATION_HEADER,
     RAW_HEADER,
     SweepResultRow,
     SweepSpec,
     aggregate_rows,
-    classification_export,
     derive_seed,
     run_sweep,
     write_agg_csv,
@@ -187,44 +182,3 @@ def test_sweep_opens_no_more_workers_than_grid_points(monkeypatch):
     # a one-point grid runs in this process
     assert opened == [2]
 
-
-# ------------------------------------------------------------ classification
-
-def test_classification_export_layout():
-    g, truth = disconnected_cliques([3, 3])
-    sink = io.StringIO()
-    classification_export(g, truth, truth, sink)
-    lines = sink.getvalue().splitlines()
-    assert lines[0] == CLASSIFICATION_HEADER
-    assert len(lines) == 7
-    for node, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        assert cells[0] == str(node)
-        assert cells[1] == "2.0"
-        assert float(cells[2]) == pytest.approx(2.0 / 3.0)
-        assert cells[2] == cells[3]
-        assert cells[4] == "0.0"
-        assert cells[5] == "1"
-
-
-def test_classification_export_flags_wrong_nodes():
-    g, truth = disconnected_cliques([3, 3])
-    pred = Partition([0, 0, 1, 1, 1, 1])
-    sink = io.StringIO()
-    classification_export(g, truth, pred, sink)
-    lines = sink.getvalue().splitlines()[1:]
-    correct = [line.split(",")[-1] for line in lines]
-    assert correct == ["1", "1", "0", "1", "1", "1"]
-    # node 2 was absorbed by the 4-node predicted cluster
-    assert float(lines[2].split(",")[3]) == pytest.approx(2.0 / 6.0)
-    assert lines[2].split(",")[4] == "0.0"
-
-
-def test_classification_export_singleton_prediction_has_nan_nld():
-    g, truth = disconnected_cliques([3, 3])
-    pred = Partition([0, 0, 2, 1, 1, 1])
-    sink = io.StringIO()
-    classification_export(g, truth, pred, sink)
-    cells = sink.getvalue().splitlines()[3].split(",")
-    assert cells[0] == "2"
-    assert cells[3] == "nan"

@@ -247,6 +247,28 @@ def test_gen_seed_flag_wins_over_config_even_at_zero(tmp_path, capsys):
     assert seeds == {"flag 0": 0, "flag 1": 1, "config": 5, "default": 0}
 
 
+def test_negative_seed_flag_is_a_usage_error_and_in_a_config_a_data_error(
+    triangles, tmp_path, capsys
+):
+    graph, _ = triangles
+    outs = ["--out-graph", tmp_path / "g.txt", "--out-truth", tmp_path / "t.txt"]
+    for argv in (
+        ["detect", "--graph", graph, "--seed", "-1"],
+        ["gen", "--sizes", "6,6", "--k-avg", "4", "--mu", "0.2", "--seed", "-5", *outs],
+    ):
+        rc, stdout, stderr = run(capsys, *argv)
+        assert rc == 1, argv[0]
+        assert stdout == ""
+        assert stderr.startswith("usage:")
+        assert "--seed: seed must be non-negative" in stderr
+    config = tmp_path / "gen.cfg"
+    config.write_text("sizes = 6,6\nk_avg = 4\nmu = 0.2\nseed = -5\n")
+    rc, stdout, stderr = run(capsys, "gen", "--config", config, *outs)
+    assert rc == 2
+    assert stdout == ""
+    assert "seed must be non-negative, got -5" in stderr
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_runs_grid_and_is_deterministic(tmp_path, capsys):

@@ -12,7 +12,6 @@ from walksynth import (
     Graph,
     InfeasibleModelError,
     PlantedPartitionParams,
-    density,
     disconnected_cliques,
     dump_edge_list,
     load_edge_list,
@@ -20,7 +19,6 @@ from walksynth import (
     planted_partition,
     write_label_map,
 )
-from util import gnp_graph
 
 
 def parse(text: str) -> Graph:
@@ -156,32 +154,6 @@ def test_graph_validation():
         Graph(n=2, u=np.array([0]), v=np.array([2]), w=np.array([1.0]))
     with pytest.raises(ValueError):
         Graph(n=2, u=np.array([0]), v=np.array([1]), w=np.array([-1.0]))
-
-
-def test_density_fixtures():
-    assert density(parse("0 1\n1 2\n2 0\n")) == 1.0
-    assert density(parse("0 1\n1 2\n")) == pytest.approx(2.0 / 3.0)
-    g, _ = disconnected_cliques([3, 3])
-    assert density(g) == pytest.approx(0.4)
-
-
-def test_density_ignores_self_loops():
-    assert density(parse("0 1\n0 0 2\n")) == 1.0
-
-
-def test_density_errors():
-    with pytest.raises(ValueError):
-        density(Graph(n=1, u=np.array([0]), v=np.array([0]), w=np.array([1.0])))
-
-
-def test_density_equals_mean_degree_ratio_on_simple_graphs():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        n = int(rng.integers(2, 40))
-        g = gnp_graph(rng, n, float(rng.uniform(0.1, 0.9)))
-        if g.num_edges == 0:
-            continue
-        assert abs(density(g) - g.degrees.mean() / (n - 1)) < 1e-12
 
 
 # ------------------------------------------------------------- generator

@@ -23,7 +23,6 @@ from walksynth import (
     greedy_match,
     mixing_parameter,
     modularity,
-    nld,
     planted_partition,
     transition_matrix,
     write_cluster_stats_csv,
@@ -367,28 +366,6 @@ def test_mixing_rejects_weighted_and_zero_degree():
     lonely = Graph(n=3, u=np.array([0]), v=np.array([1]), w=np.ones(1))
     with pytest.raises(ValueError):
         mixing_parameter(lonely, Partition.single_cluster(3), 2)
-
-
-# ---------------------------------------------------------------------- nld
-
-def test_nld_fixtures():
-    g = Graph(
-        n=6,
-        u=np.array([0, 0, 0, 0]),
-        v=np.array([1, 2, 3, 4]),
-        w=np.ones(4),
-    )
-    part = Partition([0, 0, 0, 0, 0, 1])
-    # degree 4 inside a 5-node cluster: 4 / C(5, 2)
-    assert nld(g, part, 0) == pytest.approx(0.4, abs=1e-15)
-    clique, cpart = disconnected_cliques([4, 4])
-    assert nld(clique, cpart, 0) == pytest.approx(0.5, abs=1e-15)  # 3 / C(4,2) = 2/4
-
-
-def test_nld_rejects_singleton_cluster():
-    g, _ = disconnected_cliques([3, 3])
-    with pytest.raises(ValueError):
-        nld(g, Partition([0, 1, 1, 2, 2, 2]), 0)
 
 
 # -------------------------------------------------------------- cluster stats

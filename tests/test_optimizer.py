@@ -108,6 +108,30 @@ def test_value_never_below_singleton_start():
         assert report.value >= start - 1e-9
 
 
+# ------------------------------------------------------------ local moving
+
+@pytest.mark.parametrize("criterion", [SYNTHESIS, MODULARITY])
+def test_local_moving_revisits_only_the_neighbours_of_moved_nodes(monkeypatch, criterion):
+    # one pass in random order, then a queue: re-sweeping every node until a
+    # whole sweep moves none priced 12n (synthesis) and 7n (modularity) here
+    calls = []
+    best_move = optimizer._best_move
+
+    def counting_best_move(state, node, min_gain):
+        calls.append(node)
+        return best_move(state, node, min_gain)
+
+    monkeypatch.setattr(optimizer, "_best_move", counting_best_move)
+    g, _ = planted_partition(PlantedPartitionParams([50] * 10, k_avg=15, mu=0.3), 1)
+    state = FlowMoveState(transition_matrix(g), Partition.singletons(g.n), criterion)
+    before = state.value()
+    _local_moving(state, np.random.default_rng(1))
+    assert len(calls) <= 6 * g.n
+    # the first pass visits every node
+    assert set(calls) == set(range(g.n))
+    assert state.value() >= before - 1e-12
+
+
 # ----------------------------------------------------------------- escapes
 
 def _bits(assignment, mass, within, counts, free_ids, cluster_terms, active) -> tuple:

@@ -31,7 +31,6 @@ from .objective import (
     modularity,
     objective_identity_check,
     optimal_parameters,
-    synthesis_objective,
     synthetic_transition_matrix,
 )
 from .optimizer import (
@@ -43,12 +42,10 @@ from .optimizer import (
 )
 from .partitions import Partition, partition_for_graph, read_partition_labels, write_partition
 from .walk import (
-    ClusterAggregates,
     IsolatedNodeError,
     RandomWalk,
     cluster_aggregates,
     kld_rate,
-    mutual_info_clusters,
     mutual_info_nodes,
     transition_matrix,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "modularity",
     "objective_identity_check",
     "optimal_parameters",
-    "synthesis_objective",
     "synthetic_transition_matrix",
     "OBJECTIVES",
     "OptimizerConfig",
@@ -92,12 +88,10 @@ __all__ = [
     "partition_for_graph",
     "read_partition_labels",
     "write_partition",
-    "ClusterAggregates",
     "IsolatedNodeError",
     "RandomWalk",
     "cluster_aggregates",
     "kld_rate",
-    "mutual_info_clusters",
     "mutual_info_nodes",
     "transition_matrix",
 ]

@@ -46,6 +46,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _sizes(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated sizes: {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="walksynth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -72,7 +79,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("gen", help="generate a planted benchmark graph")
-    p.add_argument("--sizes", help="comma-separated community sizes, e.g. 20,20,20")
+    p.add_argument("--sizes", type=_sizes, help="comma-separated community sizes, e.g. 20,20,20")
     p.add_argument("--k-avg", type=float, dest="k_avg")
     p.add_argument("--mu", type=float)
     p.add_argument("--seed", type=_seed)
@@ -182,20 +189,20 @@ def _read_kv_config(path: str) -> dict[str, str]:
 
 
 def cmd_gen(args) -> int:
-    sizes_text, k_avg, mu, seed = args.sizes, args.k_avg, args.mu, args.seed
     if args.config:
         kv = _read_kv_config(args.config)
-        sizes_text = sizes_text or kv.get("sizes")
-        k_avg = k_avg if k_avg is not None else float(kv["k_avg"]) if "k_avg" in kv else None
-        mu = mu if mu is not None else float(kv["mu"]) if "mu" in kv else None
-        seed = seed if seed is not None else int(kv["seed"]) if "seed" in kv else None
-        if seed is not None and seed < 0:
-            raise ValueError(f"{args.config}: seed must be non-negative, got {seed}")
-    if not sizes_text or k_avg is None or mu is None:
+        for key, parse in (("sizes", _sizes), ("k_avg", float), ("mu", float), ("seed", _seed)):
+            # a flag wins over the config, unless it is an empty --sizes
+            if key in kv and getattr(args, key) in (None, []):
+                try:
+                    setattr(args, key, parse(kv[key]))
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ValueError(f"{args.config}: {key}: {exc}") from None
+    sizes, k_avg, mu, seed = args.sizes, args.k_avg, args.mu, args.seed
+    if not sizes or k_avg is None or mu is None:
         print("error: sizes, k_avg, and mu are required (flags or --config)", file=sys.stderr)
         return 1
     seed = 0 if seed is None else seed
-    sizes = [int(s) for s in sizes_text.split(",") if s]
     params = PlantedPartitionParams(community_sizes=sizes, k_avg=k_avg, mu=mu)
     g, truth = planted_partition(params, seed)
     dump_edge_list(g, args.out_graph)

@@ -65,7 +65,9 @@ class Graph:
             raise ValueError("graph needs at least one node")
         if not (len(self.u) == len(self.v) == len(self.w)):
             raise ValueError("edge arrays differ in length")
-        if len(self.u) and (self.u.min() < 0 or max(self.u.max(), self.v.max()) >= self.n):
+        if len(self.u) and (
+            min(self.u.min(), self.v.min()) < 0 or max(self.u.max(), self.v.max()) >= self.n
+        ):
             raise ValueError("edge endpoint out of range")
         if np.any(self.w < 0) or not np.all(np.isfinite(self.w)):
             raise ValueError("edge weights must be finite and nonnegative")

@@ -20,11 +20,10 @@ import numpy as np
 from .graph import Graph
 from .partitions import Partition
 from .walk import (
-    ClusterAggregates,
     RandomWalk,
     cluster_aggregates,
     kld_rate,
-    mutual_info_clusters,
+    mass_and_within,
     mutual_info_nodes,
     transition_matrix,
 )
@@ -118,15 +117,14 @@ class ObjectiveReport:
 
     ``bound_cluster_mi`` is the mutual information of the induced cluster
     process; ``bound_node_mi`` is the node-level mutual information, which
-    does not depend on the partition (None when the caller had no access to
-    the full walk). The chain value <= bound_cluster_mi <= bound_node_mi
-    holds up to numerical slack.
+    does not depend on the partition. The chain value <= bound_cluster_mi
+    <= bound_node_mi holds up to numerical slack.
     """
 
     value: float
     per_cluster: np.ndarray
     bound_cluster_mi: float
-    bound_node_mi: float | None = None
+    bound_node_mi: float
 
     def __post_init__(self):
         self.per_cluster = np.asarray(self.per_cluster, dtype=np.float64)
@@ -134,7 +132,7 @@ class ObjectiveReport:
             raise ValueError("objective value must be nonnegative")
         if self.value > self.bound_cluster_mi + _BOUND_SLACK:
             raise ValueError("objective value exceeds its cluster-level bound")
-        if self.bound_node_mi is not None and self.bound_cluster_mi > self.bound_node_mi + _BOUND_SLACK:
+        if self.bound_cluster_mi > self.bound_node_mi + _BOUND_SLACK:
             raise ValueError("cluster-level bound exceeds the node-level bound")
 
     def to_json(self) -> dict:
@@ -146,30 +144,20 @@ class ObjectiveReport:
         }
 
 
-def synthesis_objective(agg: ClusterAggregates, node_mi: float | None = None) -> ObjectiveReport:
-    """Score cluster aggregates: sum over clusters of
-    p_i * KLD(stay_probability_i || p_i), in bits.
-
-    A single-cluster partition scores 0 by definition. Pass ``node_mi`` when
-    the walk's node-level mutual information is available so the report can
-    carry both bounds.
+def evaluate_partition(walk: RandomWalk, part: Partition) -> ObjectiveReport:
+    """Synthesis objective of a partition, sum over clusters of
+    p_i * KLD(stay_probability_i || p_i) in bits (0 for a single cluster),
+    with both of its bounds: the node mutual information of the cluster walk
+    and of the walk itself.
 
     Raises:
-        ValueError: a cluster with zero stationary mass.
+        ValueError: a partition of another size, or a cluster with zero
+            stationary mass.
     """
-    if np.any(agg.p_i <= 0.0):
-        raise ValueError("every cluster needs positive stationary mass")
-    if agg.num_clusters == 1:
-        per = np.zeros(1)
-    else:
-        per = SYNTHESIS.terms(agg.p_i, np.diag(agg.p_ij))
-    return ObjectiveReport(float(per.sum()), per, mutual_info_clusters(agg), node_mi)
-
-
-def evaluate_partition(walk: RandomWalk, part: Partition) -> ObjectiveReport:
-    """Full synthesis report for a partition of a walk, both bounds filled."""
-    agg = cluster_aggregates(walk, part)
-    return synthesis_objective(agg, node_mi=mutual_info_nodes(walk))
+    mass, within = mass_and_within(walk, part.assignment, part.num_clusters)
+    per = np.zeros(1) if part.num_clusters == 1 else SYNTHESIS.terms(mass, within)
+    cluster_mi = mutual_info_nodes(cluster_aggregates(walk, part))
+    return ObjectiveReport(float(per.sum()), per, cluster_mi, mutual_info_nodes(walk))
 
 
 def modularity(g: Graph, part: Partition) -> float:
@@ -228,13 +216,13 @@ def optimal_parameters(walk: RandomWalk, part: Partition) -> SyntheticWalkParams
     within-cluster distributions proportional to stationary mass, leave
     probabilities matching the walk's, and cluster choice equal to cluster
     mass."""
-    agg = cluster_aggregates(walk, part)
-    r = walk.p / agg.p_i[part.assignment]
-    s = np.clip(1.0 - agg.stay_probabilities(), 0.0, 1.0)
+    mass, within = mass_and_within(walk, part.assignment, part.num_clusters)
+    r = walk.p / mass[part.assignment]
+    s = np.clip(1.0 - within / mass, 0.0, 1.0)
     # a cluster holding all stationary mass has nowhere to leave to; kill
     # the accumulated-roundoff dust that would otherwise land in s
-    s[agg.p_i >= 1.0] = 0.0
-    return SyntheticWalkParams(r=r, s=s, u=agg.p_i.copy())
+    s[mass >= 1.0] = 0.0
+    return SyntheticWalkParams(r=r, s=s, u=mass)
 
 
 def synthetic_transition_matrix(part: Partition, params: SyntheticWalkParams) -> np.ndarray:
@@ -279,9 +267,8 @@ def objective_identity_check(walk: RandomWalk, part: Partition) -> tuple[float, 
     P = np.zeros((walk.n, walk.n))
     P[walk.rows, walk.indices] = walk.P
     lhs = kld_rate(P, q, walk.p)
-    agg = cluster_aggregates(walk, part)
-    rhs = mutual_info_nodes(walk) - synthesis_objective(agg).value
-    return lhs, rhs
+    report = evaluate_partition(walk, part)
+    return lhs, report.bound_node_mi - report.value
 
 
 class FlowMoveState:
@@ -307,32 +294,25 @@ class FlowMoveState:
     """
 
     def __init__(self, walk: RandomWalk, part: Partition, criterion=SYNTHESIS):
-        n = walk.n
-        if part.n != n:
-            raise ValueError(f"partition covers {part.n} nodes, walk has {n}")
+        n, k = walk.n, part.num_clusters
+        assignment = part.assignment
+        mass, within = mass_and_within(walk, assignment, k)
         # per node, its other neighbours and twice the flow to each; shared
         # by every state on this walk
         self.nbr_idx, self.nbr_flow = walk.neighbour_flows
         self.walk = walk
         self.criterion = criterion
         self.term = criterion.term
-        self.node_mass: list[float] = walk.p.tolist()
-        rows, cols, f = walk.rows, walk.indices, walk.flows
-        loops = rows == cols
-        self_flow = np.zeros(n)
-        self_flow[rows[loops]] = f[loops]
+        # a node's mass and self-loop flow are those of its singleton
+        node_mass, self_flow = mass_and_within(walk, np.arange(n), n)
+        self.node_mass: list[float] = node_mass.tolist()
         self.self_flow: list[float] = self_flow.tolist()
 
-        assignment = part.assignment
-        k = part.num_clusters
-        # bincount adds in stored order, as a Python loop would
-        mass = np.bincount(assignment, weights=walk.p, minlength=n)
-        same = assignment[rows] == assignment[cols]
-        within = np.bincount(assignment[rows[same]], weights=f[same], minlength=n)
         self.counts = np.bincount(assignment, minlength=n)
         self.assignment: list[int] = assignment.tolist()
-        self.mass: list[float] = mass.tolist()
-        self.within: list[float] = within.tolist()
+        # the free ids k..n-1 hold no cluster
+        self.mass: list[float] = mass.tolist() + [0.0] * (n - k)
+        self.within: list[float] = within.tolist() + [0.0] * (n - k)
         self.cluster_terms = [self.term(m, w) for m, w in zip(self.mass, self.within)]
         self.free_ids = [c for c in range(n - 1, k - 1, -1)]
         self.active = list(range(k))

@@ -9,8 +9,9 @@ Local moving alone can stall on small dense graphs where every single-node
 merge loses before the first cluster forms, so each level also runs a
 deterministic chained-move phase: apply the best move repeatedly even when it
 loses, then roll back to the best prefix and keep it only if it gained.
-Aggregation collapses clusters into super-nodes whose edge weights carry the
-stationary flows, so objective values at coarser levels equal the flat ones.
+Each coarser level searches the cluster walk of the partition so far, whose
+nodes are the clusters and whose edge weights are the stationary flows
+between them, so objective values at coarser levels equal the flat ones.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .graph import Graph
 from .objective import CRITERIA, FRESH, FlowMoveState, ObjectiveReport, evaluate_partition
 from .partitions import Partition
-from .walk import RandomWalk, cluster_aggregates, transition_matrix
+from .walk import RandomWalk, cluster_aggregates, mass_and_within, transition_matrix
 
 OBJECTIVES = tuple(CRITERIA)
 
@@ -175,28 +176,16 @@ def _refine_level(
 def _partition_value(walk: RandomWalk, part: Partition, criterion) -> float:
     if part.num_clusters == 1:
         return 0.0
-    agg = cluster_aggregates(walk, part)
-    return float(np.sum(criterion.terms(agg.p_i, np.diag(agg.p_ij))))
-
-
-def _aggregate_graph(walk: RandomWalk, part: Partition) -> Graph:
-    """Super-node graph whose induced walk reproduces the aggregated flows,
-    so objective values computed on it equal the flat ones."""
-    agg = cluster_aggregates(walk, part)
-    f = agg.p_ij
-    # row by row, each self-loop ahead of the edges to higher clusters
-    u, v = np.nonzero(np.triu(f > 0.0))
-    # an undirected self-loop counts twice in its node's degree
-    w = np.where(u == v, f[u, v] / 2.0, f[u, v])
-    return Graph(n=agg.num_clusters, u=u, v=v, w=w)
+    mass, within = mass_and_within(walk, part.assignment, part.num_clusters)
+    return float(np.sum(criterion.terms(mass, within)))
 
 
 def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, ObjectiveReport]:
     """Search for a high-value partition of an undirected graph.
 
     Each round refines the current partition by single-node moves on the
-    original walk, then coarsens it through merge-only rounds on aggregated
-    graphs. Rounds repeat until the objective stops improving (or the round
+    original walk, then coarsens it through merge-only rounds on its cluster
+    walks. Rounds repeat until the objective stops improving (or the round
     cap is hit). Deterministic for a given config.
 
     The search settings are fixed: 16 restarts on graphs of at most
@@ -250,9 +239,9 @@ def _search_rounds(
         state = FlowMoveState(walk0, part, criterion)
         _refine_level(state, rng, dead_ends)
         part = state.partition()
-        # merge rounds on progressively coarser graphs
+        # merge rounds on progressively coarser cluster walks
         while part.num_clusters > 1:
-            level_walk = transition_matrix(_aggregate_graph(walk0, part))
+            level_walk = cluster_aggregates(walk0, part)
             st = FlowMoveState(level_walk, Partition.singletons(part.num_clusters), criterion)
             _refine_level(st, rng, dead_ends)
             sub = st.partition()

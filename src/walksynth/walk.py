@@ -1,6 +1,5 @@
-"""Stationary random walk induced by an undirected graph, cluster-level
-aggregates of its flows, and the information-theoretic quantities defined on
-both.
+"""Stationary random walk induced by an undirected graph, the cluster walk
+of a partition, and the information-theoretic quantities defined on them.
 
 All entropies, divergences, and mutual informations are in bits, with the
 usual 0*log(0) = 0 convention.
@@ -104,12 +103,16 @@ def transition_matrix(g: Graph) -> RandomWalk:
     Raises:
         IsolatedNodeError: some node has zero degree.
     """
-    indptr, indices, weights = g.adjacency
-    degrees = g.degrees
+    return _walk_from_weights(*g.adjacency)
+
+
+def _walk_from_weights(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> RandomWalk:
+    """The walk of a symmetric weighted CSR adjacency, as in ``transition_matrix``."""
+    degrees = row_sums(indptr, weights)
     if np.any(degrees <= 0.0):
         bad = int(np.argmin(degrees))
         raise IsolatedNodeError(f"node {bad} has zero degree")
-    rows = np.repeat(np.arange(g.n), np.diff(indptr))
+    rows = np.repeat(np.arange(len(degrees)), np.diff(indptr))
     P = (1.0 / degrees)[rows] * weights
     # a zero-weight edge is no transition
     taken = P != 0.0
@@ -119,48 +122,41 @@ def transition_matrix(g: Graph) -> RandomWalk:
     return RandomWalk(indptr, indices, P, degrees / degrees.sum())
 
 
-@dataclass(eq=False)
-class ClusterAggregates:
-    """Cluster masses p_i and joint one-step cluster flows p_ij."""
-
-    p_i: np.ndarray
-    p_ij: np.ndarray
-
-    def __post_init__(self):
-        self.p_i = np.asarray(self.p_i, dtype=np.float64)
-        self.p_ij = np.asarray(self.p_ij, dtype=np.float64)
-        k = len(self.p_i)
-        if self.p_ij.shape != (k, k):
-            raise ValueError("joint matrix shape must match cluster count")
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.p_i)
-
-    def stay_probabilities(self) -> np.ndarray:
-        """Conditional one-step stay probability per cluster."""
-        return np.diag(self.p_ij) / self.p_i
+def mass_and_within(walk: RandomWalk, assignment: np.ndarray, k: int) -> tuple:
+    """Stationary mass and within-cluster flow of clusters 0..k-1; raises
+    ValueError on a wrong-length assignment or a cluster of zero mass."""
+    if len(assignment) != walk.n:
+        raise ValueError(f"partition covers {len(assignment)} nodes, walk has {walk.n}")
+    # bincount adds in stored order, as a Python loop would
+    mass = np.bincount(assignment, weights=walk.p, minlength=k)
+    if (mass <= 0.0).any():
+        raise ValueError("every cluster needs positive stationary mass")
+    same = assignment[walk.rows] == assignment[walk.indices]
+    within = np.bincount(assignment[walk.rows[same]], weights=walk.flows[same], minlength=k)
+    return mass, within
 
 
-def cluster_aggregates(walk: RandomWalk, part: Partition) -> ClusterAggregates:
-    """Aggregate stationary node flows over a partition.
+def cluster_aggregates(walk: RandomWalk, part: Partition) -> RandomWalk:
+    """The cluster walk: one node per cluster, with the walk's stationary
+    flows summed over each pair of clusters as its edge weights, so criteria
+    of its singletons equal those of the partition on the node walk.
 
     Raises:
-        ValueError: partition does not cover the walk's node set, or some
-            cluster carries zero stationary mass.
+        ValueError: partition does not cover the walk's node set.
+        IsolatedNodeError: some cluster carries no stationary flow.
     """
     if part.n != walk.n:
         raise ValueError(f"partition covers {part.n} nodes, walk has {walk.n}")
     k = part.num_clusters
     m = part.assignment
-    p_i = np.bincount(m, weights=walk.p, minlength=k)
-    if np.any(p_i <= 0.0):
-        bad = int(np.argmin(p_i))
-        raise ValueError(f"cluster {bad} has zero stationary mass")
     # bincount adds each cell's flows in stored order, as a Python loop would
     cells = np.bincount(m[walk.rows] * k + m[walk.indices], weights=walk.flows, minlength=k * k)
-    p_ij = cells.reshape(k, k)
-    return ClusterAggregates(p_i=p_i, p_ij=p_ij)
+    # the upper triangle stands for both directions, so the weights are symmetric
+    f = np.triu(cells.reshape(k, k))
+    f += np.triu(f, 1).T
+    rows, cols = np.nonzero(f)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k))))
+    return _walk_from_weights(indptr, cols, f[rows, cols])
 
 
 def mutual_info_nodes(walk: RandomWalk) -> float:
@@ -174,14 +170,6 @@ def mutual_info_nodes(walk: RandomWalk) -> float:
     mask = (data > 0.0) & (walk.p[rows] > 0.0)
     data, rows, cols = data[mask], rows[mask], cols[mask]
     return float(np.sum(walk.p[rows] * data * np.log2(data / walk.p[cols])))
-
-
-def mutual_info_clusters(agg: ClusterAggregates) -> float:
-    """Mutual information in bits between consecutive cluster occupancies."""
-    p_ij = agg.p_ij
-    outer = agg.p_i[:, None] * agg.p_i[None, :]
-    mask = p_ij > 0.0
-    return float(np.sum(p_ij[mask] * np.log2(p_ij[mask] / outer[mask])))
 
 
 def kld_rate(P: np.ndarray, Q: np.ndarray, p: np.ndarray) -> float:

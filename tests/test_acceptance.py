@@ -28,7 +28,6 @@ from walksynth import (
     Partition,
     ami,
     brute_force_optimum,
-    cluster_aggregates,
     cluster_stats,
     disconnected_cliques,
     evaluate_partition,
@@ -37,7 +36,6 @@ from walksynth import (
     mutual_info_nodes,
     objective_identity_check,
     optimize,
-    synthesis_objective,
     transition_matrix,
 )
 from walksynth.bench import SweepSpec, run_sweep
@@ -46,8 +44,8 @@ CLIQUE_MULTISETS = [(3, 3), (3, 4), (2, 2, 3), (4, 4)]
 
 
 def _recomputed_value(walk, assignment) -> float:
-    """Objective via a from-scratch aggregation, independent of move states."""
-    return synthesis_objective(cluster_aggregates(walk, Partition(assignment))).value
+    """Objective via from-scratch cluster sums, independent of move states."""
+    return evaluate_partition(walk, Partition(assignment)).value
 
 
 def test_criterion_01_clique_partitions_are_global_optima():

@@ -269,6 +269,32 @@ def test_negative_seed_flag_is_a_usage_error_and_in_a_config_a_data_error(
     assert "seed must be non-negative, got -5" in stderr
 
 
+def test_bad_sizes_flag_is_a_usage_error(tmp_path, capsys):
+    rc, stdout, stderr = run(
+        capsys, "gen", "--sizes", "6,x", "--k-avg", "4", "--mu", "0.2",
+        "--out-graph", tmp_path / "g.txt", "--out-truth", tmp_path / "t.txt",
+    )
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.startswith("usage:")
+    assert "--sizes: invalid comma-separated sizes: '6,x'" in stderr
+    assert not (tmp_path / "g.txt").exists()
+
+
+def test_bad_config_value_is_a_data_error_naming_file_and_key(tmp_path, capsys):
+    config = tmp_path / "gen.cfg"
+    config.write_text("sizes = 6,6\nk_avg = four\nmu = 0.2\n")
+    rc, stdout, stderr = run(
+        capsys, "gen", "--config", config,
+        "--out-graph", tmp_path / "g.txt", "--out-truth", tmp_path / "t.txt",
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert f"{config}: k_avg: " in stderr
+    assert "'four'" in stderr
+    assert not (tmp_path / "g.txt").exists()
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_runs_grid_and_is_deterministic(tmp_path, capsys):

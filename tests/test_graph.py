@@ -156,6 +156,12 @@ def test_graph_validation():
         Graph(n=2, u=np.array([0]), v=np.array([1]), w=np.array([-1.0]))
 
 
+def test_graph_rejects_a_negative_endpoint_on_either_side():
+    for u, v in (([-1, 1], [0, 2]), ([0, 1], [-1, 2])):
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            Graph(n=3, u=np.array(u), v=np.array(v), w=np.ones(2))
+
+
 # ------------------------------------------------------------- generator
 
 def test_planted_params_validation():

@@ -10,21 +10,19 @@ from hypothesis import strategies as st
 
 from walksynth import (
     FRESH,
-    ClusterAggregates,
     FlowMoveState,
     ObjectiveReport,
     Partition,
+    RandomWalk,
     SyntheticWalkParams,
     cluster_aggregates,
     disconnected_cliques,
     evaluate_partition,
     kld_rate,
     modularity,
-    mutual_info_clusters,
     mutual_info_nodes,
     objective_identity_check,
     optimal_parameters,
-    synthesis_objective,
     synthetic_transition_matrix,
     transition_matrix,
 )
@@ -36,8 +34,8 @@ LOG2_3_OVER_2 = math.log2(1.5)
 
 
 def full_value(walk, assignment) -> float:
-    # independent of the incremental state: fresh aggregates every time
-    return synthesis_objective(cluster_aggregates(walk, Partition(assignment))).value
+    # independent of the incremental state: fresh cluster sums every time
+    return evaluate_partition(walk, Partition(assignment)).value
 
 
 # ---------------------------------------------------------------- objective
@@ -76,9 +74,13 @@ def test_objective_value_sums_per_cluster_terms():
 
 
 def test_objective_rejects_zero_mass_cluster():
-    agg = ClusterAggregates(p_i=np.array([1.0, 0.0]), p_ij=np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        synthesis_objective(agg)
+    # node 1 carries no stationary mass: it steps to node 0, which stays put
+    walk = RandomWalk(
+        indptr=np.array([0, 1, 2]), indices=np.array([0, 0]), P=np.array([1.0, 1.0]),
+        p=np.array([1.0, 0.0]),
+    )
+    with pytest.raises(ValueError, match="positive stationary mass"):
+        evaluate_partition(walk, Partition([0, 1]))
 
 
 def test_objective_label_permutation_invariance():
@@ -92,16 +94,20 @@ def test_objective_label_permutation_invariance():
     b = evaluate_partition(w, relabeled)
     assert a.value == pytest.approx(b.value, abs=1e-12)
     assert modularity(g, part) == pytest.approx(modularity(g, relabeled), abs=1e-12)
-    assert mutual_info_clusters(cluster_aggregates(w, part)) == pytest.approx(
-        mutual_info_clusters(cluster_aggregates(w, relabeled)), abs=1e-12
+    assert mutual_info_nodes(cluster_aggregates(w, part)) == pytest.approx(
+        mutual_info_nodes(cluster_aggregates(w, relabeled)), abs=1e-12
     )
 
 
 def test_report_validates_bound_chain():
     with pytest.raises(ValueError):
-        ObjectiveReport(value=-0.5, per_cluster=np.array([-0.5]), bound_cluster_mi=1.0)
+        ObjectiveReport(
+            value=-0.5, per_cluster=np.array([-0.5]), bound_cluster_mi=1.0, bound_node_mi=2.0
+        )
     with pytest.raises(ValueError):
-        ObjectiveReport(value=1.0, per_cluster=np.array([1.0]), bound_cluster_mi=0.5)
+        ObjectiveReport(
+            value=1.0, per_cluster=np.array([1.0]), bound_cluster_mi=0.5, bound_node_mi=2.0
+        )
     with pytest.raises(ValueError):
         ObjectiveReport(
             value=0.1, per_cluster=np.array([0.1]), bound_cluster_mi=1.0, bound_node_mi=0.5
@@ -114,8 +120,6 @@ def test_report_to_json():
     data = report.to_json()
     assert set(data) == {"value", "per_cluster", "bound_cluster_mi", "bound_node_mi"}
     assert isinstance(data["per_cluster"], list)
-    partial = synthesis_objective(cluster_aggregates(transition_matrix(g), part))
-    assert partial.to_json()["bound_node_mi"] is None
 
 
 # --------------------------------------------------------- synthetic walks

@@ -16,6 +16,7 @@ from walksynth import (
     Partition,
     ami,
     brute_force_optimum,
+    cluster_aggregates,
     disconnected_cliques,
     evaluate_partition,
     optimize,
@@ -27,7 +28,7 @@ from walksynth import (
 )
 from walksynth import optimizer
 from walksynth.objective import MODULARITY, SYNTHESIS
-from walksynth.optimizer import _aggregate_graph, _chain_pass, _local_moving, _refine_level
+from walksynth.optimizer import _chain_pass, _local_moving, _refine_level
 from util import random_connected_graph, random_partition, triangle
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -200,8 +201,7 @@ def test_aggregated_graph_reproduces_coarse_walk():
         g = random_connected_graph(rng, int(rng.integers(5, 20)), 0.35)
         w = transition_matrix(g)
         part = random_partition(rng, g.n)
-        coarse = _aggregate_graph(w, part)
-        cw = transition_matrix(coarse)
+        cw = cluster_aggregates(w, part)
         flat = evaluate_partition(w, part)
         lifted = evaluate_partition(cw, Partition.singletons(part.num_clusters))
         assert lifted.value == pytest.approx(flat.value, abs=1e-12)
@@ -225,7 +225,7 @@ def test_aggregated_graph_respects_coarser_partitions(case):
     g = Graph(n=len(order), u=u, v=v, w=np.ones(len(edges)))
     w = transition_matrix(g)
     part = Partition(labels)
-    cw = transition_matrix(_aggregate_graph(w, part))
+    cw = cluster_aggregates(w, part)
     merge = Partition(merge_labels[:part.num_clusters])
     flat_merge = Partition(merge.assignment[part.assignment])
     for criterion in (SYNTHESIS, MODULARITY):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walksynth import (
     Graph,
@@ -13,12 +15,19 @@ from walksynth import (
     cluster_aggregates,
     disconnected_cliques,
     kld_rate,
-    mutual_info_clusters,
     mutual_info_nodes,
     transition_matrix,
 )
 from walksynth.objective import SYNTHESIS
-from util import dense, random_connected_graph, random_partition, triangle, path3
+from walksynth.walk import mass_and_within
+from util import (
+    dense,
+    random_connected_graph,
+    random_partition,
+    reference_cluster_walk,
+    triangle,
+    path3,
+)
 
 LOG2_3_OVER_2 = math.log2(1.5)  # 0.5849625007211562
 
@@ -119,34 +128,66 @@ def test_flows_sum_to_one():
 
 def test_aggregates_two_triangles_true_partition():
     g, part = disconnected_cliques([3, 3])
-    agg = cluster_aggregates(transition_matrix(g), part)
-    assert np.allclose(agg.p_i, [0.5, 0.5])
-    assert np.allclose(agg.p_ij, [[0.5, 0.0], [0.0, 0.5]])
-    assert np.allclose(agg.stay_probabilities(), 1.0)
+    cw = cluster_aggregates(transition_matrix(g), part)
+    assert np.allclose(cw.p, [0.5, 0.5])
+    assert np.allclose(dense(cw, cw.flows), [[0.5, 0.0], [0.0, 0.5]])
+    # each cluster's stay probability
+    assert np.allclose(np.diag(dense(cw, cw.P)), 1.0)
 
 
 def test_aggregates_triangle_singletons():
     w = transition_matrix(triangle())
-    agg = cluster_aggregates(w, Partition.singletons(3))
-    assert np.allclose(np.diag(agg.p_ij), 0.0)
-    off = agg.p_ij[~np.eye(3, dtype=bool)]
+    cw = cluster_aggregates(w, Partition.singletons(3))
+    flows = dense(cw, cw.flows)
+    assert np.allclose(np.diag(flows), 0.0)
+    off = flows[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 1.0 / 6.0)
 
 
 def test_aggregates_single_cluster():
     w = transition_matrix(path3())
-    agg = cluster_aggregates(w, Partition.single_cluster(3))
-    assert agg.p_i[0] == pytest.approx(1.0, abs=1e-15)
-    assert agg.p_ij[0, 0] == pytest.approx(1.0, abs=1e-15)
+    cw = cluster_aggregates(w, Partition.single_cluster(3))
+    assert cw.p[0] == pytest.approx(1.0, abs=1e-15)
+    assert dense(cw, cw.flows)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_aggregates_of_singletons_reproduce_flows_exactly():
     rng = np.random.default_rng(7)
     g = random_connected_graph(rng, 15, 0.3)
     w = transition_matrix(g)
-    agg = cluster_aggregates(w, Partition.singletons(g.n))
-    assert np.array_equal(agg.p_i, w.p)
-    assert np.array_equal(agg.p_ij, dense(w, w.flows))
+    part = Partition.singletons(g.n)
+    mass, within = mass_and_within(w, part.assignment, part.num_clusters)
+    assert np.array_equal(mass, w.p)
+    assert np.array_equal(within, np.diag(dense(w, w.flows)))
+    cw, ref = cluster_aggregates(w, part), reference_cluster_walk(w, part)
+    for name in ("indptr", "indices", "P", "p"):
+        assert np.array_equal(getattr(cw, name), getattr(ref, name)), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    st.lists(st.integers(1, 8), min_size=4 * n, max_size=4 * n),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.booleans(),
+)))
+def test_cluster_walk_is_the_walk_of_the_cluster_flow_graph(case):
+    # the optimizer's coarse levels search this walk, so any change in its
+    # bits can change the partitions found; a path through the drawn node
+    # order keeps every degree positive, and the extra pairs may repeat or be
+    # self-loops
+    order, extra, weights, labels, weighted = case
+    pairs = [tuple(sorted(pair)) for pair in [*zip(order, order[1:]), *extra]]
+    if not pairs:
+        pairs = [(order[0], order[0])]
+    u, v = np.array(pairs).T
+    w = np.array(weights[:len(pairs)]) / 3.0 if weighted else np.ones(len(pairs))
+    walk = transition_matrix(Graph(n=len(order), u=u, v=v, w=w))
+    part = Partition(labels)
+    cw, ref = cluster_aggregates(walk, part), reference_cluster_walk(walk, part)
+    for name in ("indptr", "indices", "P", "p"):
+        assert np.array_equal(getattr(cw, name), getattr(ref, name)), name
 
 
 def test_aggregates_row_sums_match_masses():
@@ -155,9 +196,11 @@ def test_aggregates_row_sums_match_masses():
         g = random_connected_graph(rng, int(rng.integers(4, 25)), 0.35)
         w = transition_matrix(g)
         part = random_partition(rng, g.n)
-        agg = cluster_aggregates(w, part)
-        assert abs(agg.p_i.sum() - 1.0) < 1e-12
-        assert np.abs(agg.p_ij.sum(axis=1) - agg.p_i).max() < 1e-10
+        mass, _ = mass_and_within(w, part.assignment, part.num_clusters)
+        cw = cluster_aggregates(w, part)
+        assert abs(mass.sum() - 1.0) < 1e-12
+        assert np.abs(dense(cw, cw.flows).sum(axis=1) - mass).max() < 1e-10
+        assert np.abs(cw.p - mass).max() < 1e-10
 
 
 def test_aggregates_require_matching_node_count():
@@ -215,8 +258,8 @@ def test_mutual_info_matches_brute_force_oracle():
 def test_cluster_mi_fixtures():
     g, part = disconnected_cliques([3, 3])
     w = transition_matrix(g)
-    assert mutual_info_clusters(cluster_aggregates(w, part)) == pytest.approx(1.0, abs=1e-12)
-    assert mutual_info_clusters(
+    assert mutual_info_nodes(cluster_aggregates(w, part)) == pytest.approx(1.0, abs=1e-12)
+    assert mutual_info_nodes(
         cluster_aggregates(w, Partition.single_cluster(6))
     ) == pytest.approx(0.0, abs=1e-12)
 
@@ -225,8 +268,8 @@ def test_cluster_mi_of_singletons_equals_node_mi():
     rng = np.random.default_rng(17)
     g = random_connected_graph(rng, 12, 0.4)
     w = transition_matrix(g)
-    agg = cluster_aggregates(w, Partition.singletons(g.n))
-    assert mutual_info_clusters(agg) == pytest.approx(mutual_info_nodes(w), abs=1e-12)
+    cw = cluster_aggregates(w, Partition.singletons(g.n))
+    assert mutual_info_nodes(cw) == pytest.approx(mutual_info_nodes(w), abs=1e-12)
 
 
 def test_data_processing_inequality():
@@ -236,8 +279,8 @@ def test_data_processing_inequality():
         g = random_connected_graph(rng, int(rng.integers(3, 50)), 0.25)
         w = transition_matrix(g)
         part = random_partition(rng, g.n)
-        agg = cluster_aggregates(w, part)
-        assert mutual_info_clusters(agg) <= mutual_info_nodes(w) + 1e-9
+        cw = cluster_aggregates(w, part)
+        assert mutual_info_nodes(cw) <= mutual_info_nodes(w) + 1e-9
 
 
 def test_kld_rate_identical_chains():

@@ -6,7 +6,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from walksynth import Graph, Partition
+from walksynth import Graph, Partition, transition_matrix
 
 
 def gnp_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -45,3 +45,17 @@ def triangle() -> Graph:
 
 def path3() -> Graph:
     return Graph(n=3, u=np.array([0, 1]), v=np.array([1, 2]), w=np.ones(2))
+
+
+def reference_cluster_walk(walk, part: Partition):
+    """The walk of the graph whose edges are a partition's cluster flows: the
+    flows summed one stored transition at a time, in the walk's order, and
+    the upper triangle taken as undirected edges, each self-loop at half its
+    flow because a self-loop counts twice in its node's degree."""
+    k = part.num_clusters
+    f = np.zeros((k, k))
+    for a, b, x in zip(walk.rows, walk.indices, walk.flows):
+        f[part.assignment[a], part.assignment[b]] += x
+    u, v = np.nonzero(np.triu(f))
+    w = np.where(u == v, f[u, v] / 2.0, f[u, v])
+    return transition_matrix(Graph(n=k, u=u, v=v, w=w))

@@ -19,7 +19,6 @@ from .metrics import (
     cluster_stats,
     contingency,
     greedy_match,
-    mixing_parameter,
     write_cluster_stats_csv,
 )
 from .objective import (
@@ -68,7 +67,6 @@ __all__ = [
     "cluster_stats",
     "contingency",
     "greedy_match",
-    "mixing_parameter",
     "write_cluster_stats_csv",
     "FRESH",
     "FlowMoveState",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -69,28 +70,57 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "SweepSpec":
+        """A spec from a parsed JSON config. A bad value raises ValueError
+        naming its key; counts and sizes must be whole numbers."""
         if not isinstance(data, dict):
             raise ValueError("sweep config must be a JSON object")
-        for key in ("community_sizes", "mu", "objectives"):
-            if not isinstance(data.get(key, []), list):
-                raise ValueError(f"sweep config key {key!r} must be a list")
-        try:
-            return SweepSpec(
-                community_sizes=[int(s) for s in data["community_sizes"]],
-                k_avg=float(data["k_avg"]),
-                mu_values=[float(m) for m in data["mu"]],
-                realizations=int(data["realizations"]),
-                seed_base=int(data.get("seed_base", 0)),
-                objectives=tuple(data.get("objectives", ("synthesis",))),
-            )
-        except KeyError as missing:
-            raise ValueError(f"sweep config is missing key {missing}") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed sweep config: {exc}") from None
+        fields = {}
+        for key, parse, default in _CONFIG_KEYS:
+            if key not in data and default is None:
+                raise ValueError(f"{key}: missing key")
+            try:
+                fields[key] = parse(data.get(key, default))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        return SweepSpec(mu_values=fields.pop("mu"), **fields)
 
     @staticmethod
     def from_json(source: str | Path | IO[str]) -> "SweepSpec":
         return SweepSpec.from_dict(json.loads(read_text(source)))
+
+
+def _whole(value) -> int:
+    """An int, or a float or string holding one; a fraction is refused, not
+    truncated."""
+    if isinstance(value, int):
+        return int(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
+def _list_of(parse):
+    def parse_list(value) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return [parse(item) for item in value]
+
+    return parse_list
+
+
+#: (config key, parser, default or None if required); "mu" fills ``mu_values``
+_CONFIG_KEYS = (
+    ("community_sizes", _list_of(_whole), None),
+    ("k_avg", float, None),
+    ("mu", _list_of(float), None),
+    ("realizations", _whole, None),
+    ("seed_base", _whole, 0),
+    ("objectives", _list_of(str), ["synthesis"]),
+)
 
 
 @dataclass

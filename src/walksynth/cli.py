@@ -36,14 +36,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
+def _int_at_least(low: int, rule: str):
+    """An argparse type for ints of at least ``low``; ``rule`` words the
+    usage error for a smaller one."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    return parse
+
+
+_seed = _int_at_least(0, "seed must be non-negative")
 
 
 def _sizes(text: str) -> list[int]:
@@ -94,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-raw", required=True)
     p.add_argument("--out-agg", required=True)
     p.add_argument("--timing", action="store_true", help="report measured wall times")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1, "workers must be at least 1"), default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for a small graph")
@@ -223,8 +232,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = bench.SweepSpec.from_json(args.config)
-    rows = bench.run_sweep(spec, timing=args.timing, workers=max(1, args.workers))
+    try:
+        spec = bench.SweepSpec.from_json(args.config)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
+    rows = bench.run_sweep(spec, timing=args.timing, workers=args.workers)
     bench.write_raw_csv(rows, args.out_raw)
     agg = bench.aggregate_rows(rows)
     bench.write_agg_csv(agg, args.out_agg)

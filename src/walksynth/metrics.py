@@ -126,32 +126,6 @@ def classify_nodes(
     return expected == y_pred.assignment
 
 
-def _require_simple(g: Graph, what: str) -> None:
-    if not g.is_unweighted:
-        raise ValueError(f"{what} is defined here for unweighted graphs only")
-
-
-def mixing_parameter(g: Graph, part: Partition, node: int) -> float:
-    """Fraction of a node's links that leave its cluster.
-
-    Raises:
-        ValueError: weighted graph, or zero-degree node.
-    """
-    _require_simple(g, "the mixing parameter")
-    if part.n != g.n:
-        raise ValueError("partition does not cover the graph")
-    k = g.degrees[node]
-    if k <= 0:
-        raise ValueError(f"node {node} has zero degree")
-    indptr, indices, _ = g.adjacency
-    external = sum(
-        1
-        for j in indices[indptr[node]:indptr[node + 1]]
-        if j != node and part.assignment[j] != part.assignment[node]
-    )
-    return float(external / k)
-
-
 def _neighbour_links(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Per node, its number of other neighbours and the number of links among
     them (the triangles through it); self-loops and parallel edges count as
@@ -209,7 +183,8 @@ def cluster_stats(g: Graph, part: Partition, min_size: int = 3) -> list[ClusterS
     Raises:
         ValueError: weighted graph.
     """
-    _require_simple(g, "cluster statistics")
+    if not g.is_unweighted:
+        raise ValueError("cluster statistics is defined here for unweighted graphs only")
     if part.n != g.n:
         raise ValueError("partition does not cover the graph")
     assign = part.assignment

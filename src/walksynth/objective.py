@@ -6,13 +6,16 @@ takes the KL divergence between the conditional one-step stay probability and
 the cluster's stationary mass, weighted by that mass. Modularity is carried
 as a comparison criterion, and the cluster-level mutual information as the
 synthesis value's upper bound.
+
+The search moves one node at a time through ``FlowMoveState``. A move is
+priced in one place, ``best_move``, which scans a node's targets, prices each
+from the cached cluster sums and returns the best; ``apply`` then makes it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,9 +280,9 @@ class FlowMoveState:
 
     Tracks the current assignment, each cluster's mass, within-cluster flow,
     size and current criterion term (``cluster_terms``, kept equal to
-    ``term(mass[c], within[c])`` bit for bit), and supports O(degree) gain
-    evaluation of single-node moves plus exact snapshot/restore, which the
-    optimizer uses for its tentative move chains. A move targets an active
+    ``term(mass[c], within[c])`` bit for bit). ``best_move`` prices all of a
+    node's moves in one scan and ``apply`` makes one; exact snapshot/restore
+    serves the optimizer's tentative move chains. A move targets an active
     cluster (one with members) or FRESH, a new singleton.
 
     The scan reads one value at a time, so the per-node state (``assignment``,
@@ -327,50 +330,41 @@ class FlowMoveState:
             flows[c] = flows.get(c, 0.0) + f
         return flows
 
-    def _check_target(self, to_cluster: int) -> None:
-        if to_cluster != FRESH and not (
-            0 <= to_cluster < len(self.counts) and self.counts[to_cluster] > 0
-        ):
-            raise ValueError(f"move target {to_cluster} is neither FRESH nor an active cluster")
+    def best_move(self, node: int, min_gain: float) -> tuple[float, int | None]:
+        """The best single move of ``node``: (gain, target) for the first
+        target whose objective change is the strict maximum above
+        ``min_gain``, or (min_gain, None) if no move beats it.
 
-    def gains(self, node: int, targets: Iterable[int], flows: dict[int, float]) -> Iterator[float]:
-        """Yield the objective change from moving ``node`` into each of
-        ``targets`` in turn: active clusters other than its own, or FRESH.
-        ``flows`` is ``flows_to_clusters(node)``. The source side is priced
-        once, and each target by one criterion term."""
+        Targets come in one fixed order: under ``dense_targets`` the active
+        clusters in ascending order, else the clusters the node has flow to,
+        in order of first neighbour; the node's own cluster is skipped; FRESH
+        comes last, unless the node is alone. The source side is priced once,
+        and each target by one criterion term added after it: float addition
+        is not associative, so another order would move gains by an ulp,
+        change which near-tied move wins, and with it the partitions found.
+        """
+        flows = self.flows_to_clusters(node)
         a = self.assignment[node]
         p = self.node_mass[node]
         sl = self.self_flow[node]
         term, mass, within, cluster_terms = self.term, self.mass, self.within, self.cluster_terms
         old_a = cluster_terms[a]
-        if self.counts[a] == 1:
-            new_a = 0.0
-        else:
-            new_a = term(mass[a] - p, within[a] - flows.get(a, 0.0) - sl)
-        for c in targets:
-            new = new_a
-            old = old_a
-            if c == FRESH:
-                new += term(p, sl)
-            else:
-                new += term(mass[c] + p, within[c] + flows.get(c, 0.0) + sl)
-                old += cluster_terms[c]
-            yield new - old
-
-    def gain(self, node: int, to_cluster: int, flows: dict[int, float] | None = None) -> float:
-        """Objective change from moving ``node`` into ``to_cluster`` (an
-        active cluster, or FRESH for a new singleton), leaving everything
-        else fixed.
-
-        Raises:
-            ValueError: a target that is neither FRESH nor an active cluster.
-        """
-        self._check_target(to_cluster)
-        if to_cluster == self.assignment[node]:
-            return 0.0
-        if flows is None:
-            flows = self.flows_to_clusters(node)
-        return next(self.gains(node, (to_cluster,), flows))
+        alone = self.counts[a] == 1
+        new_a = 0.0 if alone else term(mass[a] - p, within[a] - flows.get(a, 0.0) - sl)
+        best_gain, best = min_gain, None
+        for c in self.active if self.criterion.dense_targets else flows:
+            if c == a:
+                continue
+            gain = (new_a + term(mass[c] + p, within[c] + flows.get(c, 0.0) + sl)) - (
+                old_a + cluster_terms[c]
+            )
+            if gain > best_gain:
+                best_gain, best = gain, c
+        if not alone:
+            gain = (new_a + term(p, sl)) - old_a
+            if gain > best_gain:
+                best_gain, best = gain, FRESH
+        return best_gain, best
 
     def apply(self, node: int, to_cluster: int) -> int:
         """Move the node into an active cluster or FRESH; returns the
@@ -379,7 +373,6 @@ class FlowMoveState:
         Raises:
             ValueError: a target that is neither FRESH nor an active cluster.
         """
-        self._check_target(to_cluster)
         a = self.assignment[node]
         if to_cluster == FRESH:
             # a singleton is already alone: it keeps its id
@@ -387,6 +380,8 @@ class FlowMoveState:
                 return a
             to_cluster = self.free_ids.pop()
             insort(self.active, to_cluster)
+        elif not (0 <= to_cluster < len(self.counts) and self.counts[to_cluster] > 0):
+            raise ValueError(f"move target {to_cluster} is neither FRESH nor an active cluster")
         if to_cluster == a:
             return a
         flows = self.flows_to_clusters(node)
@@ -409,10 +404,6 @@ class FlowMoveState:
         for c in (a, to_cluster):
             self.cluster_terms[c] = self.term(self.mass[c], self.within[c])
         return to_cluster
-
-    def value(self) -> float:
-        mass, within = np.array(self.mass)[self.active], np.array(self.within)[self.active]
-        return float(np.sum(self.criterion.terms(mass, within)))
 
     def partition(self) -> Partition:
         return Partition(self.assignment)

@@ -24,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from .graph import Graph
-from .objective import CRITERIA, FRESH, FlowMoveState, ObjectiveReport, evaluate_partition
+from .objective import CRITERIA, FlowMoveState, ObjectiveReport, evaluate_partition
 from .partitions import Partition
 from .walk import RandomWalk, cluster_aggregates, mass_and_within, transition_matrix
 
@@ -53,24 +53,6 @@ class OptimizerConfig:
             raise ValueError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
 
 
-def _best_move(state: FlowMoveState, node: int, min_gain: float):
-    flows = state.flows_to_clusters(node)
-    a = state.assignment[node]
-    targets = state.active if state.criterion.dense_targets else flows
-    targets = [c for c in targets if c != a]
-    if state.counts[a] > 1:
-        targets.append(FRESH)
-    # gains() adds each target's terms after the source side's, in one fixed
-    # order: float addition is not associative, so another order would move
-    # gains by an ulp, change which near-tied move wins the first strict >,
-    # and with it the partitions found
-    best_gain, best = min_gain, None
-    for c, g in zip(targets, state.gains(node, targets, flows)):
-        if g > best_gain:
-            best_gain, best = g, c
-    return best_gain, best
-
-
 def _local_moving(state: FlowMoveState, rng: np.random.Generator) -> None:
     """Visit every node once in random order, then, after each move, the
     moved node's neighbours outside its new cluster, until the queue is
@@ -82,7 +64,7 @@ def _local_moving(state: FlowMoveState, rng: np.random.Generator) -> None:
     while queue:
         node = queue.popleft()
         queued[node] = False
-        _, target = _best_move(state, node, MIN_GAIN)
+        _, target = state.best_move(node, MIN_GAIN)
         if target is None:
             continue
         joined = state.apply(node, target)
@@ -107,7 +89,7 @@ def _chain_pass(state: FlowMoveState) -> bool:
         for node in range(n):
             if node in moved:
                 continue
-            g, target = _best_move(state, node, -np.inf)
+            g, target = state.best_move(node, -np.inf)
             if target is not None and (best is None or g > best[0]):
                 best = (g, node, target)
         if best is None:

@@ -61,8 +61,15 @@ def test_spec_from_dict_roundtrip_and_missing_key():
     assert spec.mu_values == [0.0, 0.3]
     assert spec.objectives == ("synthesis", "modularity")
     assert spec.seed_base == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k_avg: missing key$"):
         SweepSpec.from_dict({"community_sizes": [4, 4]})
+    # a whole number may be written as a float or a string
+    spec = SweepSpec.from_dict(
+        {"community_sizes": [20.0, "20"], "k_avg": 10, "mu": [0.0], "realizations": 2.0}
+    )
+    assert spec.community_sizes == [20, 20]
+    assert spec.realizations == 2
+    assert all(type(x) is int for x in [*spec.community_sizes, spec.realizations])
 
 
 def test_derive_seed_is_stable_and_point_specific():

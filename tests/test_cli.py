@@ -347,16 +347,23 @@ def test_sweep_failure_warning_goes_to_stderr(tmp_path, capsys):
 
 
 def test_sweep_rejects_bad_config(tmp_path, capsys):
+    # each message names the file and, for a bad value, its key
     good = {"community_sizes": [4, 4], "k_avg": 2, "mu": [0.2], "realizations": 1}
     cases = [
-        ({"community_sizes": [4, 4]}, "missing key"),
-        ({**good, "mu": 0.3}, "'mu' must be a list"),
-        ({**good, "community_sizes": 20}, "'community_sizes' must be a list"),
-        ([good], "must be a JSON object"),
-        ({**good, "objectives": "modularity"}, "'objectives' must be a list"),
+        ({"community_sizes": [4, 4]}, "k_avg: missing key"),
+        ({**good, "mu": 0.3}, "mu: expected a list, got 0.3"),
+        ({**good, "community_sizes": 20}, "community_sizes: expected a list, got 20"),
+        ([good], "sweep config must be a JSON object"),
+        ({**good, "objectives": "modularity"}, "objectives: expected a list"),
         ({**good, "objectives": ["cluster_mi"]}, "unknown objective 'cluster_mi'"),
-        ({**good, "realizations": None}, "malformed sweep config"),
-        ({**good, "mu": [[0.2]]}, "malformed sweep config"),
+        ({**good, "realizations": None}, "realizations: expected an integer, got None"),
+        ({**good, "mu": [[0.2]]}, "mu: float() argument must be"),
+        ({**good, "k_avg": "x"}, "k_avg: could not convert string to float: 'x'"),
+        # counts and sizes are refused, not truncated, when not whole
+        ({**good, "community_sizes": [10, "x"]}, "community_sizes: expected an integer, got 'x'"),
+        ({**good, "community_sizes": [4.5, 4]}, "community_sizes: expected an integer, got 4.5"),
+        ({**good, "realizations": 1.7}, "realizations: expected an integer, got 1.7"),
+        ({**good, "seed_base": 0.5}, "seed_base: expected an integer, got 0.5"),
     ]
     config = tmp_path / "bad.json"
     for data, message in cases:
@@ -368,8 +375,29 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
         )
         assert rc == 2, data
         assert stdout == ""
-        assert stderr.startswith("error:")
-        assert message in stderr
+        assert stderr.startswith(f"error: {config}: "), stderr
+        assert message in stderr, stderr
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_sweep_workers_below_one_is_a_usage_error(tmp_path, capsys):
+    # argparse refuses the value, so no worker process is started
+    config = tmp_path / "sweep.json"
+    config.write_text(
+        json.dumps({"community_sizes": [4, 4], "k_avg": 2, "mu": [0.2], "realizations": 1})
+    )
+    outs = ["--out-raw", tmp_path / "r.csv", "--out-agg", tmp_path / "a.csv"]
+    for workers, message in (
+        ("0", "workers must be at least 1, got 0"),
+        ("-2", "workers must be at least 1, got -2"),
+        ("x", "invalid int value: 'x'"),
+    ):
+        rc, stdout, stderr = run(capsys, "sweep", "--config", config, *outs, "--workers", workers)
+        assert rc == 1, workers
+        assert stdout == ""
+        assert stderr.startswith("usage:")
+        assert f"--workers: {message}" in stderr
+    assert not (tmp_path / "r.csv").exists()
 
 
 # -------------------------------------------------------------------- oracle

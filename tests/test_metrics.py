@@ -21,7 +21,6 @@ from walksynth import (
     disconnected_cliques,
     evaluate_partition,
     greedy_match,
-    mixing_parameter,
     modularity,
     planted_partition,
     transition_matrix,
@@ -331,41 +330,6 @@ def test_classify_nodes_accepts_prebuilt_mapping():
     # partial mapping: nodes of the unmatched true cluster count as wrong
     partial = classify_nodes(t, p, {0: 0})
     assert partial.tolist() == [True, True, False, False]
-
-
-# ------------------------------------------------------------------- mixing
-
-def test_mixing_fixture_two_fifths():
-    # node 0: three links inside its cluster, two leaving it
-    g = Graph(
-        n=6,
-        u=np.array([0, 0, 0, 0, 0]),
-        v=np.array([1, 2, 3, 4, 5]),
-        w=np.ones(5),
-    )
-    part = Partition([0, 0, 0, 0, 1, 1])
-    assert mixing_parameter(g, part, 0) == pytest.approx(0.4, abs=1e-15)
-
-
-def test_mixing_zero_within_clique():
-    g, part = disconnected_cliques([3, 3])
-    for node in range(6):
-        assert mixing_parameter(g, part, node) == 0.0
-
-
-def test_mixing_one_for_isolated_singleton_cluster():
-    g, _ = disconnected_cliques([3, 3])
-    part = Partition([0, 1, 1, 2, 2, 2])
-    assert mixing_parameter(g, part, 0) == 1.0
-
-
-def test_mixing_rejects_weighted_and_zero_degree():
-    weighted = Graph(n=2, u=np.array([0]), v=np.array([1]), w=np.array([2.0]))
-    with pytest.raises(ValueError):
-        mixing_parameter(weighted, Partition.single_cluster(2), 0)
-    lonely = Graph(n=3, u=np.array([0]), v=np.array([1]), w=np.ones(1))
-    with pytest.raises(ValueError):
-        mixing_parameter(lonely, Partition.single_cluster(3), 2)
 
 
 # -------------------------------------------------------------- cluster stats

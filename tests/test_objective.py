@@ -27,8 +27,8 @@ from walksynth import (
     transition_matrix,
 )
 from walksynth.objective import MODULARITY, SYNTHESIS
-from walksynth.optimizer import _best_move
-from util import dense, random_connected_graph, random_partition, triangle
+from walksynth.optimizer import _partition_value
+from util import dense, random_connected_graph, random_partition, reference_gain, triangle
 
 LOG2_3_OVER_2 = math.log2(1.5)
 
@@ -295,7 +295,6 @@ def weighted_version(rng, g):
 def test_modularity_and_its_exhaustive_optimum_match_networkx():
     nx = pytest.importorskip("networkx")
     from walksynth import brute_force_optimum, set_partitions
-    from walksynth.optimizer import _partition_value
 
     def nx_modularity(g, assignment):
         graph = nx.Graph()
@@ -332,9 +331,10 @@ def test_delta_true_partition_degrades_when_split():
     w = transition_matrix(g)
     state = FlowMoveState(w, part)
     for node in range(6):
-        other = 1 - int(part.assignment[node])
-        assert state.gain(node, other) < 0.0
-        assert state.gain(node, FRESH) < 0.0
+        # the best move, into the other clique or FRESH, loses
+        gain, target = state.best_move(node, -math.inf)
+        assert target in (1 - int(part.assignment[node]), FRESH)
+        assert gain < 0.0
 
 
 def test_delta_move_and_back_cancels():
@@ -350,10 +350,10 @@ def test_delta_move_and_back_cancels():
         if not targets:
             continue
         b = int(targets[rng.integers(0, len(targets))])
-        d1 = state.gain(node, b)
+        d1 = reference_gain(state, node, b)
         state.apply(node, b)
         # a move into an emptied cluster is a FRESH move
-        d2 = state.gain(node, a if state.counts[a] else FRESH)
+        d2 = reference_gain(state, node, a if state.counts[a] else FRESH)
         assert d1 + d2 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -367,7 +367,7 @@ def test_delta_matches_recompute_on_random_moves():
     }
     for criterion, value_of in recompute.items():
         rng = np.random.default_rng(59)
-        kinds = {"fresh": 0, "emptying": 0, "same": 0, "other": 0}
+        kinds = {"fresh": 0, "emptying": 0, "other": 0}
         for _ in range(30):
             g = random_connected_graph(rng, int(rng.integers(4, 16)), 0.35)
             w = transition_matrix(g)
@@ -380,19 +380,22 @@ def test_delta_matches_recompute_on_random_moves():
                 if state.counts[a] > 1:
                     candidates.append(FRESH)
                 target = candidates[rng.integers(0, len(candidates))]
-                if target == a:
-                    kinds["same"] += 1
-                elif target == FRESH:
-                    kinds["fresh"] += 1
-                elif state.counts[a] == 1:
-                    kinds["emptying"] += 1
-                else:
-                    kinds["other"] += 1
-                before = value_of(g, w, state.assignment)
-                gain = state.gain(node, target)
+                # the best move changes the value by exactly its gain
+                gain, best = state.best_move(node, -math.inf)
+                if best is not None:
+                    if best == FRESH:
+                        kinds["fresh"] += 1
+                    elif state.counts[a] == 1:
+                        kinds["emptying"] += 1
+                    else:
+                        kinds["other"] += 1
+                    snap = state.snapshot()
+                    before = value_of(g, w, state.assignment)
+                    state.apply(node, best)
+                    after = value_of(g, w, state.assignment)
+                    state.restore(snap)
+                    assert gain == pytest.approx(after - before, abs=1e-9)
                 state.apply(node, target)
-                after = value_of(g, w, state.assignment)
-                assert gain == pytest.approx(after - before, abs=1e-9)
         assert min(kinds.values()) > 0, kinds
 
 
@@ -418,7 +421,9 @@ def test_state_value_matches_fresh_evaluation():
         w = transition_matrix(g)
         part = random_partition(rng, g.n)
         state = FlowMoveState(w, part)
-        assert state.value() == pytest.approx(full_value(w, state.assignment), abs=1e-10)
+        # the cached terms of the active clusters sum to the value
+        cached = sum(state.cluster_terms[c] for c in state.active)
+        assert cached == pytest.approx(full_value(w, state.assignment), abs=1e-10)
 
 
 def test_state_fresh_move_opens_new_cluster():
@@ -434,11 +439,11 @@ def test_state_fresh_move_opens_new_cluster():
 
 def test_state_fresh_move_of_a_singleton_keeps_its_id():
     # with every node alone no id is free, and none is needed: the move
-    # changes nothing, and gain() prices it at 0
+    # changes nothing, and best_move() never offers it
     g, _ = disconnected_cliques([3, 3])
     state = FlowMoveState(transition_matrix(g), Partition.singletons(6))
     before = state.snapshot()
-    assert state.gain(0, FRESH) == 0.0
+    assert state.best_move(0, -math.inf)[1] not in (0, FRESH)
     assert state.apply(0, FRESH) == 0
     assert np.array_equal(state.assignment, before[0])
     assert state.free_ids == before[4] == []
@@ -462,7 +467,7 @@ def test_state_snapshot_restore_is_exact():
     w = transition_matrix(g)
     state = FlowMoveState(w, random_partition(rng, g.n))
     snap = state.snapshot()
-    before = state.value()
+    before = _partition_value(w, state.partition(), SYNTHESIS)
     terms_before = list(state.cluster_terms)
     for _ in range(10):
         node = int(rng.integers(0, g.n))
@@ -472,7 +477,7 @@ def test_state_snapshot_restore_is_exact():
             active = np.flatnonzero(state.counts > 0)
             state.apply(node, int(active[rng.integers(0, len(active))]))
     state.restore(snap)
-    assert state.value() == before
+    assert _partition_value(w, state.partition(), SYNTHESIS) == before
     assert np.array_equal(state.assignment, snap[0])
     assert state.cluster_terms == terms_before
 
@@ -482,23 +487,23 @@ def test_state_rejects_moves_into_inactive_clusters():
     # the free ids, so a later FRESH move landed in an occupied cluster and
     # its gain priced the wrong move
     g, _ = disconnected_cliques([3, 3])
-    state = FlowMoveState(transition_matrix(g), Partition([0, 0, 0, 1, 1, 1]))
+    w = transition_matrix(g)
+    state = FlowMoveState(w, Partition([0, 0, 0, 1, 1, 1]))
     before = state.snapshot()
     for target in (5, 2, 6, -2):
-        with pytest.raises(ValueError, match="neither FRESH nor an active cluster"):
-            state.gain(0, target)
         with pytest.raises(ValueError, match="neither FRESH nor an active cluster"):
             state.apply(0, target)
     assert np.array_equal(state.assignment, before[0])
     assert state.free_ids == before[4]
     for node in (1, 3, 4):
         state.apply(node, FRESH)
-    value = state.value()
-    gain = state.gain(5, FRESH)
+    value = _partition_value(w, state.partition(), SYNTHESIS)
+    gain = reference_gain(state, 5, FRESH)
     fresh = state.apply(5, FRESH)
     assert state.counts[fresh] == 1
     assert len(np.unique(state.assignment)) == int((state.counts > 0).sum()) == 5
-    assert state.value() - value == pytest.approx(gain, abs=1e-12)
+    after = _partition_value(w, state.partition(), SYNTHESIS)
+    assert after - value == pytest.approx(gain, abs=1e-12)
 
 
 _STATE_OPS = st.lists(
@@ -520,11 +525,14 @@ def test_cached_terms_and_best_move_match_lone_gains(criterion, seed, n, ops):
     state = FlowMoveState(transition_matrix(g), random_partition(rng, n), criterion)
     snap = state.snapshot()
 
+    def value():
+        return _partition_value(state.walk, state.partition(), criterion)
+
     def apply_checked(target):
         # every move kind changes the value by exactly its priced gain
-        before, gain = state.value(), state.gain(node, target)
+        before, gain = value(), reference_gain(state, node, target)
         state.apply(node, target)
-        assert state.value() == pytest.approx(before + gain, abs=1e-9), target
+        assert value() == pytest.approx(before + gain, abs=1e-9), target
 
     for op, i, j in ops:
         node = i % n
@@ -543,7 +551,8 @@ def test_cached_terms_and_best_move_match_lone_gains(criterion, seed, n, ops):
         # the scan reads Python ints: the active ids, the flow keys, the target
         assert state.active == np.flatnonzero(state.counts > 0).tolist()
 
-        # the scan's choice is the first strict maximum of gain() in scan order
+        # the scan's choice is the first strict maximum of the reference gains
+        # in scan order, bit for bit
         node = j % n
         a = int(state.assignment[node])
         if criterion.dense_targets:
@@ -553,10 +562,32 @@ def test_cached_terms_and_best_move_match_lone_gains(criterion, seed, n, ops):
         order = [c for c in order if c != a] + ([FRESH] if state.counts[a] > 1 else [])
         best_gain, best = -math.inf, None
         for c in order:
-            gain = state.gain(node, c)
+            gain = reference_gain(state, node, c)
             if gain > best_gain:
                 best_gain, best = gain, c
-        got_gain, got = _best_move(state, node, -math.inf)
+        got_gain, got = state.best_move(node, -math.inf)
         assert (got, repr(got_gain)) == (best, repr(best_gain))
         assert all(type(c) is int for c in state.flows_to_clusters(node))
         assert got is None or type(got) is int
+
+
+@pytest.mark.parametrize("criterion", [SYNTHESIS, MODULARITY])
+def test_best_move_keeps_min_gain_and_offers_no_null_move(criterion):
+    # on the clique truth every move loses, so nothing beats a gain of 0
+    g, truth = disconnected_cliques([3, 3])
+    state = FlowMoveState(transition_matrix(g), truth, criterion)
+    for node in range(6):
+        assert state.best_move(node, 0.0) == (0.0, None)
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        g = random_connected_graph(rng, int(rng.integers(3, 12)), 0.4)
+        state = FlowMoveState(transition_matrix(g), random_partition(rng, g.n), criterion)
+        for node in range(g.n):
+            a = state.assignment[node]
+            gain, target = state.best_move(node, -math.inf)
+            # never the node's own cluster, never FRESH for a node alone
+            assert target != a
+            assert not (target == FRESH and state.counts[a] == 1)
+            # a move only counts if it beats min_gain strictly
+            assert state.best_move(node, gain) == (gain, None)
+            assert state.best_move(node, math.inf) == (math.inf, None)

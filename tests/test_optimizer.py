@@ -28,7 +28,7 @@ from walksynth import (
 )
 from walksynth import optimizer
 from walksynth.objective import MODULARITY, SYNTHESIS
-from walksynth.optimizer import _chain_pass, _local_moving, _refine_level
+from walksynth.optimizer import _chain_pass, _local_moving, _partition_value, _refine_level
 from util import random_connected_graph, random_partition, triangle
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -116,21 +116,22 @@ def test_local_moving_revisits_only_the_neighbours_of_moved_nodes(monkeypatch, c
     # one pass in random order, then a queue: re-sweeping every node until a
     # whole sweep moves none priced 12n (synthesis) and 7n (modularity) here
     calls = []
-    best_move = optimizer._best_move
+    best_move = FlowMoveState.best_move
 
     def counting_best_move(state, node, min_gain):
         calls.append(node)
         return best_move(state, node, min_gain)
 
-    monkeypatch.setattr(optimizer, "_best_move", counting_best_move)
+    monkeypatch.setattr(FlowMoveState, "best_move", counting_best_move)
     g, _ = planted_partition(PlantedPartitionParams([50] * 10, k_avg=15, mu=0.3), 1)
-    state = FlowMoveState(transition_matrix(g), Partition.singletons(g.n), criterion)
-    before = state.value()
+    walk = transition_matrix(g)
+    state = FlowMoveState(walk, Partition.singletons(g.n), criterion)
+    before = _partition_value(walk, state.partition(), criterion)
     _local_moving(state, np.random.default_rng(1))
     assert len(calls) <= 6 * g.n
     # the first pass visits every node
     assert set(calls) == set(range(g.n))
-    assert state.value() >= before - 1e-12
+    assert _partition_value(walk, state.partition(), criterion) >= before - 1e-12
 
 
 # ----------------------------------------------------------------- escapes
@@ -229,8 +230,8 @@ def test_aggregated_graph_respects_coarser_partitions(case):
     merge = Partition(merge_labels[:part.num_clusters])
     flat_merge = Partition(merge.assignment[part.assignment])
     for criterion in (SYNTHESIS, MODULARITY):
-        flat = FlowMoveState(w, flat_merge, criterion).value()
-        coarse = FlowMoveState(cw, merge, criterion).value()
+        flat = _partition_value(w, flat_merge, criterion)
+        coarse = _partition_value(cw, merge, criterion)
         assert coarse == pytest.approx(flat, abs=1e-12), criterion
 
 

@@ -6,7 +6,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from walksynth import Graph, Partition, transition_matrix
+from walksynth import FRESH, Graph, Partition, transition_matrix
 
 
 def gnp_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -59,3 +59,25 @@ def reference_cluster_walk(walk, part: Partition):
     u, v = np.nonzero(np.triu(f))
     w = np.where(u == v, f[u, v] / 2.0, f[u, v])
     return transition_matrix(Graph(n=k, u=u, v=v, w=w))
+
+
+def reference_gain(state, node: int, target: int) -> float:
+    """The objective change of moving ``node`` into ``target`` (an active
+    cluster or FRESH), priced from the state's cluster sums with the
+    criterion's ``term`` in the scan's float order: the source cluster's new
+    term, then the target's, less the old terms in the same order. A move
+    that changes nothing is worth 0."""
+    a = state.assignment[node]
+    alone = state.counts[a] == 1
+    if target == a or (target == FRESH and alone):
+        return 0.0
+    term, mass, within = state.criterion.term, state.mass, state.within
+    p, sl = state.node_mass[node], state.self_flow[node]
+    flows = state.flows_to_clusters(node)
+    new = 0.0 if alone else term(mass[a] - p, within[a] - flows.get(a, 0.0) - sl)
+    old = term(mass[a], within[a])
+    if target == FRESH:
+        return (new + term(p, sl)) - old
+    new += term(mass[target] + p, within[target] + flows.get(target, 0.0) + sl)
+    old += term(mass[target], within[target])
+    return new - old

@@ -51,6 +51,8 @@ class SweepSpec:
         self.objectives = tuple(self.objectives)
         if self.realizations < 1:
             raise ValueError("at least one realization required")
+        if not self.objectives or len(set(self.objectives)) < len(self.objectives):
+            raise ValueError(f"objectives: expected distinct names, got {list(self.objectives)}")
         for obj in self.objectives:
             if obj not in OBJECTIVES:
                 raise ValueError(f"unknown objective {obj!r}, expected one of {OBJECTIVES}")

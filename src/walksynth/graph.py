@@ -231,7 +231,7 @@ class PlantedPartitionParams:
             raise ValueError("each community needs at least two nodes")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError("mu must lie in [0, 1)")
-        if self.k_avg <= 0 or self.k_avg >= self.n:
+        if not 0 < self.k_avg < self.n:
             raise ValueError("k_avg must lie in (0, n)")
 
     @property

@@ -12,11 +12,12 @@ loses, then roll back to the best prefix and keep it only if it gained.
 Each coarser level searches the cluster walk of the partition so far, whose
 nodes are the clusters and whose edge weights are the stationary flows
 between them, so objective values at coarser levels equal the flat ones.
+A level that made no move is remembered by its kind and start partition, and
+skipped, with the same result, when the search comes back to it.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -53,14 +54,16 @@ class OptimizerConfig:
             raise ValueError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
 
 
-def _local_moving(state: FlowMoveState, rng: np.random.Generator) -> None:
+def _local_moving(state: FlowMoveState, rng: np.random.Generator) -> int:
     """Visit every node once in random order, then, after each move, the
     moved node's neighbours outside its new cluster, until the queue is
-    empty. Each applied move gains more than MIN_GAIN, so the queue empties."""
+    empty. Each applied move gains more than MIN_GAIN, so the queue empties.
+    Returns the number of moves made."""
     n = len(state.assignment)
     queue = deque(rng.permutation(n).tolist())
     queued = [True] * n
     assignment, nbr_idx = state.assignment, state.nbr_idx
+    moves = 0
     while queue:
         node = queue.popleft()
         queued[node] = False
@@ -68,10 +71,12 @@ def _local_moving(state: FlowMoveState, rng: np.random.Generator) -> None:
         if target is None:
             continue
         joined = state.apply(node, target)
+        moves += 1
         for j in nbr_idx[node]:
             if not queued[j] and assignment[j] != joined:
                 queued[j] = True
                 queue.append(j)
+    return moves
 
 
 def _chain_pass(state: FlowMoveState) -> bool:
@@ -110,49 +115,43 @@ def _chain_pass(state: FlowMoveState) -> bool:
     return True
 
 
-def _walk_key(walk: RandomWalk) -> tuple[bytes, ...]:
-    return (
-        walk.indptr.tobytes(),
-        walk.indices.tobytes(),
-        walk.flows.tobytes(),
-        walk.p.tobytes(),
-    )
-
-
-def _state_key(state: FlowMoveState) -> tuple[bytes, ...]:
-    return (
-        array("q", state.assignment).tobytes(),
-        array("d", state.mass).tobytes(),
-        array("d", state.within).tobytes(),
-        array("q", state.free_ids).tobytes(),
-    )
-
-
 def _refine_level(
-    state: FlowMoveState, rng: np.random.Generator, dead_ends: dict[tuple, set[tuple]]
-) -> None:
-    """Local moving, then on small levels the chain escape until it fails.
+    walk0: RandomWalk,
+    part: Partition,
+    coarse: bool,
+    rng: np.random.Generator,
+    criterion,
+    settled: set[tuple[bool, bytes]],
+) -> Partition:
+    """Search one level: local moving, then on levels of at most
+    CHAIN_NODE_CAP nodes the chain escape until it fails. The level is the
+    walk ``walk0`` from ``part``, or, when ``coarse`` is set, the cluster walk
+    of ``part`` from singletons. Returns the level's partition.
 
-    ``dead_ends`` maps a walk's key to the keys of the states on it where the
-    chain escape failed, and is shared by every level of one ``optimize`` call.
+    ``settled`` holds the keys of levels that made no move at all, and is
+    shared by every level of one ``optimize`` call. A settled level is
+    skipped exactly: it draws the visit order local moving would have drawn
+    and returns its start partition, because
+    - its start state is a function of its key (``walk0`` and the criterion
+      are fixed in one call, and ``part`` is canonical);
+    - a local-moving pass that makes no move makes none in any visit order,
+      since every node is priced on the same, unchanged state;
+    - the chain escape draws no random numbers, and a failed pass restores
+      the state bit for bit.
     """
-    _local_moving(state, rng)
-    if len(state.assignment) > CHAIN_NODE_CAP:
-        return
-    # Skipping a known dead end is exact: the chain escape is deterministic in
-    # the walk and the state's assignment, mass, within and free ids (the
-    # rest of the state follows from these), it draws no random numbers, and
-    # a failed escape restores the state bit for bit. The keys are raw bytes,
-    # so a match is an exact match.
-    dead = dead_ends.setdefault(_walk_key(state.walk), set())
-    while True:
-        key = _state_key(state)
-        if key in dead:
-            return
-        if not _chain_pass(state):
-            dead.add(key)
-            return
-        _local_moving(state, rng)
+    key = (coarse, part.assignment.tobytes())
+    start = Partition.singletons(part.num_clusters) if coarse else part
+    if key in settled:
+        rng.permutation(start.n)
+        return start
+    walk = cluster_aggregates(walk0, part) if coarse else walk0
+    state = FlowMoveState(walk, start, criterion)
+    moves = _local_moving(state, rng)
+    while start.n <= CHAIN_NODE_CAP and _chain_pass(state):
+        moves += 1 + _local_moving(state, rng)
+    if moves == 0:
+        settled.add(key)
+    return state.partition()
 
 
 def _partition_value(walk: RandomWalk, part: Partition, criterion) -> float:
@@ -174,7 +173,9 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     CHAIN_NODE_CAP = 128 nodes (the first from singletons, the rest from
     random partitions) and 4 from singletons on larger ones; the chained-move
     escape on every level of at most 128 nodes; a minimum gain of
-    MIN_GAIN = 1e-12; at most MAX_ROUNDS = 100 rounds per restart.
+    MIN_GAIN = 1e-12; at most MAX_ROUNDS = 100 rounds per restart. A level
+    that made no move is not searched again from the same start partition,
+    which leaves the result unchanged.
 
     Args:
         g: undirected graph with positive degrees.
@@ -191,7 +192,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     rng = np.random.default_rng(cfg.seed)
 
     best_part, best_value = None, -np.inf
-    dead_ends: dict[tuple, set[tuple]] = {}
+    settled: set[tuple[bool, bytes]] = set()
     for i in range(16 if g.n <= CHAIN_NODE_CAP else 4):
         if i == 0 or g.n > CHAIN_NODE_CAP:
             init = Partition.singletons(g.n)
@@ -200,7 +201,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
             # singletons loses; random starts land in other basins
             k = int(rng.integers(1, g.n + 1))
             init = Partition(rng.integers(0, k, size=g.n))
-        part, value = _search_rounds(walk0, init, rng, criterion, dead_ends)
+        part, value = _search_rounds(walk0, init, rng, criterion, settled)
         if value > best_value + MIN_GAIN:
             best_part, best_value = part, value
     return best_part, evaluate_partition(walk0, best_part)
@@ -211,22 +212,17 @@ def _search_rounds(
     init: Partition,
     rng: np.random.Generator,
     criterion,
-    dead_ends: dict[tuple, set[tuple]],
+    settled: set[tuple[bool, bytes]],
 ) -> tuple[Partition, float]:
     part = init
     value = -np.inf
     for _ in range(MAX_ROUNDS):
         # single-node moves on the original walk; this is also what undoes
         # merges that an earlier round's aggregation locked in
-        state = FlowMoveState(walk0, part, criterion)
-        _refine_level(state, rng, dead_ends)
-        part = state.partition()
+        part = _refine_level(walk0, part, False, rng, criterion, settled)
         # merge rounds on progressively coarser cluster walks
         while part.num_clusters > 1:
-            level_walk = cluster_aggregates(walk0, part)
-            st = FlowMoveState(level_walk, Partition.singletons(part.num_clusters), criterion)
-            _refine_level(st, rng, dead_ends)
-            sub = st.partition()
+            sub = _refine_level(walk0, part, True, rng, criterion, settled)
             if sub.num_clusters == part.num_clusters:
                 break
             part = Partition(sub.assignment[part.assignment])

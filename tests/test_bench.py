@@ -39,11 +39,20 @@ def test_spec_validation():
         small_spec(mu_values=[0.2, 1.0])
     with pytest.raises(ValueError):
         small_spec(realizations=0)
-    for objectives in [("fancy",), ("cluster_mi",)]:
-        with pytest.raises(ValueError):
+    for objectives, message in [
+        (("fancy",), "unknown objective 'fancy'"),
+        (("cluster_mi",), "unknown objective 'cluster_mi'"),
+        ((), r"objectives: expected distinct names, got \[\]"),
+        (
+            ["synthesis", "modularity", "synthesis"],
+            r"objectives: expected distinct names, got \['synthesis', 'modularity', 'synthesis'\]",
+        ),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}"):
             small_spec(objectives=objectives)
-    with pytest.raises(ValueError):
-        small_spec(k_avg=0.0)
+    for k_avg in (0.0, math.nan):
+        with pytest.raises(ValueError, match=r"k_avg must lie in \(0, n\)"):
+            small_spec(k_avg=k_avg)
 
 
 def test_spec_from_dict_roundtrip_and_missing_key():

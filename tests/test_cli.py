@@ -208,6 +208,19 @@ def test_gen_requires_model_parameters(tmp_path, capsys):
     assert "mu" in stderr
 
 
+def test_gen_rejects_nan_k_avg(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    rc, stdout, stderr = run(
+        capsys,
+        "gen", "--sizes", "4,4", "--k-avg", "nan", "--mu", "0.1",
+        "--out-graph", graph, "--out-truth", tmp_path / "t.txt",
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert stderr == "error: k_avg must lie in (0, n)\n"
+    assert not graph.exists()
+
+
 def test_gen_reads_config_file_with_flag_overrides(tmp_path, capsys):
     config = tmp_path / "gen.cfg"
     config.write_text("sizes = 6,6\nk_avg = 4\nmu = 0.2\nseed = 11\n")
@@ -364,6 +377,14 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
         ({**good, "community_sizes": [4.5, 4]}, "community_sizes: expected an integer, got 4.5"),
         ({**good, "realizations": 1.7}, "realizations: expected an integer, got 1.7"),
         ({**good, "seed_base": 0.5}, "seed_base: expected an integer, got 0.5"),
+        # an empty list used to crash after writing the CSVs, and a repeated
+        # objective ran every search twice
+        ({**good, "objectives": []}, "objectives: expected distinct names, got []"),
+        (
+            {**good, "objectives": ["synthesis"] * 2},
+            "objectives: expected distinct names, got ['synthesis', 'synthesis']",
+        ),
+        ({**good, "k_avg": math.nan}, "k_avg must lie in (0, n)"),
     ]
     config = tmp_path / "bad.json"
     for data, message in cases:

@@ -1,6 +1,7 @@
 """Parsing, structural quantities, and the planted benchmark generator."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,9 @@ def test_planted_params_validation():
         PlantedPartitionParams(community_sizes=[5, 5], k_avg=-1, mu=0.1)
     with pytest.raises(ValueError):
         PlantedPartitionParams(community_sizes=[5, 5], k_avg=10, mu=0.1)
+    # NaN fails every comparison, so it must fail the range test too
+    with pytest.raises(ValueError, match=r"k_avg must lie in \(0, n\)"):
+        PlantedPartitionParams(community_sizes=[5, 5], k_avg=math.nan, mu=0.1)
 
 
 def test_planted_mu_zero_has_no_cross_edges():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walksynth import (
+    OBJECTIVES,
     FlowMoveState,
     Graph,
     OptimizerConfig,
@@ -147,8 +148,8 @@ def _bits(assignment, mass, within, counts, free_ids, cluster_terms, active) -> 
 @given(st.sampled_from([SYNTHESIS, MODULARITY]), st.integers(0, 2**32 - 1), st.integers(3, 20),
        st.booleans())
 def test_failed_escapes_leave_the_state_bit_for_bit(criterion, seed, n, settle):
-    # the premise that lets a level skip a state on which the chain escape
-    # already failed: a failed escape changes nothing
+    # the premise that lets a settled level be skipped: a failed escape
+    # changes nothing
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, 0.4)
     state = FlowMoveState(transition_matrix(g), random_partition(rng, n), criterion)
@@ -163,35 +164,85 @@ def test_failed_escapes_leave_the_state_bit_for_bit(criterion, seed, n, settle):
     assert after == before
 
 
+def _settled_level(walk0, part, coarse, rng, criterion) -> tuple[Partition, set]:
+    """A walk-0 partition from which the level of kind ``coarse`` settles:
+    refine ``part`` (or merge its clusters) until a level makes no move."""
+    for _ in range(20):
+        settled: set = set()
+        sub = _refine_level(walk0, part, coarse, rng, criterion, settled)
+        if settled:
+            return part, settled
+        part = Partition(sub.assignment[part.assignment]) if coarse else sub
+    raise AssertionError("no level settled")
+
+
+@pytest.mark.parametrize("coarse", [False, True])
 @pytest.mark.parametrize("criterion", [SYNTHESIS, MODULARITY])
-def test_refine_level_skips_a_known_dead_end(monkeypatch, criterion):
-    calls = []
-
-    def counting_chain_pass(state):
-        calls.append(state)
-        return _chain_pass(state)
-
-    monkeypatch.setattr(optimizer, "_chain_pass", counting_chain_pass)
+def test_refine_level_skips_a_settled_level(monkeypatch, criterion, coarse):
     rng = np.random.default_rng(83)
-    for n in (6, 12, 20):
-        g = random_connected_graph(rng, n, 0.4)
+    for n in (6, 12, 20, 140):
+        g = random_connected_graph(rng, n, min(0.4, 6 / n))
         walk = transition_matrix(g)
-        # a settled level state: local moving and the chain escape are done
-        settled = FlowMoveState(walk, random_partition(rng, n), criterion)
-        _refine_level(settled, rng, {})
-        # two equal copies of it, on the same walk
-        first, second = (FlowMoveState(walk, settled.partition(), criterion) for _ in range(2))
-        first.restore(settled.snapshot())
-        second.restore(settled.snapshot())
+        part, settled = _settled_level(walk, random_partition(rng, n), coarse, rng, criterion)
+        # the same level searched from scratch, with an empty memo
+        searched = np.random.default_rng(n)
+        expected = _refine_level(walk, part, coarse, searched, criterion, set())
 
-        dead_ends: dict = {}
-        calls.clear()
-        _refine_level(first, rng, dead_ends)
-        assert len(calls) == 1
-        calls.clear()
-        _refine_level(second, rng, dead_ends)
-        assert calls == []
-        assert _bits(*second.snapshot()) == _bits(*first.snapshot())
+        def refuse(*args, **kwargs):
+            raise AssertionError("a settled level was searched")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FlowMoveState, "__init__", refuse)
+            patch.setattr(optimizer, "cluster_aggregates", refuse)
+            patch.setattr(optimizer, "_local_moving", refuse)
+            patch.setattr(optimizer, "_chain_pass", refuse)
+            skipped = np.random.default_rng(n)
+            got = _refine_level(walk, part, coarse, skipped, criterion, settled)
+        assert got == expected
+        # the skip draws what local moving would have drawn
+        assert skipped.bit_generator.state == searched.bit_generator.state
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_settled_levels_leave_the_search_unchanged(monkeypatch, objective):
+    # the memo is exact: the same search with a fresh memo on every level
+    # finds the same partition and value in every restart, after more state
+    # builds
+    rng = np.random.default_rng(97)
+    graphs = [random_connected_graph(rng, int(rng.integers(8, 31)), 0.25) for _ in range(5)]
+    graphs.append(planted_partition(PlantedPartitionParams([15] * 10, k_avg=8, mu=0.3), 2)[0])
+    refine, rounds, init = optimizer._refine_level, optimizer._search_rounds, FlowMoveState.__init__
+    builds, restarts = [0], []
+
+    def counting_init(state, *args):
+        builds[0] += 1
+        init(state, *args)
+
+    def recorded_rounds(*args):
+        part, value = rounds(*args)
+        restarts.append((part.assignment.tolist(), repr(value)))
+        return part, value
+
+    def forgetful_refine(walk0, part, coarse, rng, criterion, settled):
+        return refine(walk0, part, coarse, rng, criterion, set())
+
+    monkeypatch.setattr(FlowMoveState, "__init__", counting_init)
+    monkeypatch.setattr(optimizer, "_search_rounds", recorded_rounds)
+    for seed, g in enumerate(graphs):
+        cfg = OptimizerConfig(objective, seed=seed)
+        builds[0] = 0
+        restarts.clear()
+        part, report = optimize(g, cfg)
+        with_memo, memo_restarts = builds[0], list(restarts)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_refine_level", forgetful_refine)
+            builds[0] = 0
+            restarts.clear()
+            ref_part, ref_report = optimize(g, cfg)
+        assert memo_restarts == restarts
+        assert np.array_equal(part.assignment, ref_part.assignment)
+        assert repr(report.value) == repr(ref_report.value)
+        assert with_memo < builds[0], g.n
 
 
 # ------------------------------------------------------ level aggregation

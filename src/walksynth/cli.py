@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("stats", help="per-cluster structure statistics")
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True)
-    p.add_argument("--min-size", type=int, default=3)
+    p.add_argument("--min-size", type=_int_at_least(1, "min-size must be at least 1"), default=3)
     p.add_argument("--csv", help="write the per-cluster CSV here")
     p.set_defaults(func=cmd_stats)
 
@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive optimum for a small graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--objective", choices=OBJECTIVES, default="synthesis")
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=_int_at_least(1, "cap must be at least 1"), default=12)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -8,8 +8,10 @@ as a comparison criterion, and the cluster-level mutual information as the
 synthesis value's upper bound.
 
 The search moves one node at a time through ``FlowMoveState``. A move is
-priced in one place, ``best_move``, which scans a node's targets, prices each
-from the cached cluster sums and returns the best; ``apply`` then makes it.
+priced by ``best_move``, which scans a node's targets, prices each from the
+cached cluster sums and returns the best; ``apply`` then makes it.
+``MoveRows`` runs the same scan on cached join terms, to keep every node's
+best move current across the steps of a chained-move escape.
 """
 
 from __future__ import annotations
@@ -342,6 +344,8 @@ class FlowMoveState:
         and each target by one criterion term added after it: float addition
         is not associative, so another order would move gains by an ulp,
         change which near-tied move wins, and with it the partitions found.
+        ``MoveRows._pick`` repeats this scan on cached terms; change both
+        together.
         """
         flows = self.flows_to_clusters(node)
         a = self.assignment[node]
@@ -423,3 +427,120 @@ class FlowMoveState:
         self.assignment, self.mass, self.within = list(snap[0]), list(snap[1]), list(snap[2])
         self.counts = snap[3].copy()
         self.free_ids, self.cluster_terms, self.active = list(snap[4]), list(snap[5]), list(snap[6])
+
+
+class MoveRows:
+    """The best move of each node of ``state`` not yet moved by ``move``:
+    ``gains[node]`` and ``targets[node]``; (-inf, None) for a moved node or
+    one with no move.
+
+    Per node it caches its flows to clusters, its join term
+    ``term(mass[c] + p, within[c] + flow to c + sl)`` for each target c, and
+    the new term of its own cluster without it. ``_pick`` is ``best_move``'s
+    scan on these terms, with its targets, their order, its gain expression
+    and its strict ``>``, so it returns what ``best_move(node, -inf)`` does;
+    a change to one needs the same change to the other.
+    """
+
+    def __init__(self, state: FlowMoveState):
+        self.state = state
+        self.dense = state.criterion.dense_targets
+        n = len(state.assignment)
+        # nodes of equal mass and self-loop flow have equal join terms for
+        # every cluster they have no flow to
+        kinds: dict[tuple[float, float], int] = {}
+        self.kind = [kinds.setdefault(ps, len(kinds)) for ps in zip(state.node_mass, state.self_flow)]
+        self.num_kinds = len(kinds)
+        fresh = [state.term(p, sl) for p, sl in kinds]
+        self.fresh = [fresh[k] for k in self.kind]
+        self.flows = [state.flows_to_clusters(y) for y in range(n)]
+        self.joins = [[0.0] * n for _ in range(n)]
+        self.new_a, self.alone = [0.0] * n, [False] * n
+        self.gains, self.targets = [-math.inf] * n, [None] * n
+        self.unmoved, self.moved = list(range(n)), [False] * n
+        for c in state.active:
+            self._column(c)
+        for y in self.unmoved:
+            self._own(y)
+            self._pick(y)
+
+    def _column(self, c: int) -> None:
+        """Price cluster ``c``'s join terms for the unmoved nodes that can join it."""
+        st = self.state
+        term, assignment, node_mass, self_flow = st.term, st.assignment, st.node_mass, st.self_flow
+        mc, wc = st.mass[c], st.within[c]
+        dense, kind, flows, joins = self.dense, self.kind, self.flows, self.joins
+        shared: list[float | None] = [None] * self.num_kinds
+        for y in self.unmoved:
+            if assignment[y] == c:
+                continue
+            f = flows[y].get(c)
+            if f is not None:
+                joins[y][c] = term(mc + node_mass[y], wc + f + self_flow[y])
+            elif dense:
+                t = shared[kind[y]]
+                if t is None:
+                    # best_move adds the missing flow as 0.0
+                    t = shared[kind[y]] = term(mc + node_mass[y], wc + 0.0 + self_flow[y])
+                joins[y][c] = t
+
+    def _own(self, y: int) -> None:
+        st = self.state
+        a = st.assignment[y]
+        self.alone[y] = alone = st.counts[a] == 1
+        self.new_a[y] = 0.0 if alone else st.term(
+            st.mass[a] - st.node_mass[y], st.within[a] - self.flows[y].get(a, 0.0) - st.self_flow[y]
+        )
+
+    def _pick(self, y: int) -> None:
+        st = self.state
+        a = st.assignment[y]
+        cluster_terms, row, new_a = st.cluster_terms, self.joins[y], self.new_a[y]
+        old_a = cluster_terms[a]
+        best_gain, best = -math.inf, None
+        for c in st.active if self.dense else self.flows[y]:
+            if c == a:
+                continue
+            gain = (new_a + row[c]) - (old_a + cluster_terms[c])
+            if gain > best_gain:
+                best_gain, best = gain, c
+        if not self.alone[y]:
+            gain = (new_a + self.fresh[y]) - old_a
+            if gain > best_gain:
+                best_gain, best = gain, FRESH
+        self.gains[y], self.targets[y] = best_gain, best
+
+    def move(self, x: int, target: int) -> None:
+        """Apply the move of unmoved node ``x`` to ``target``, then reprice
+        what it changed: the flows of ``x``'s neighbours, the join terms of
+        its old and new cluster, the own terms of their members, and the best
+        move of every node whose best may have changed."""
+        st = self.state
+        a0 = st.assignment[x]
+        b0 = st.apply(x, target)
+        self.unmoved.remove(x)
+        self.moved[x] = True
+        self.gains[x], self.targets[x] = -math.inf, None
+        moved, flows = self.moved, self.flows
+        for y in st.nbr_idx[x]:
+            if not moved[y]:
+                flows[y] = st.flows_to_clusters(y)
+        changed = (a0, b0) if st.counts[a0] else (b0,)
+        for c in changed:
+            self._column(c)
+        assignment, cluster_terms, joins = st.assignment, st.cluster_terms, self.joins
+        gains, targets, new_a, dense = self.gains, self.targets, self.new_a, self.dense
+        for y in self.unmoved:
+            a = assignment[y]
+            if a == a0 or a == b0:
+                self._own(y)
+            elif targets[y] != a0 and targets[y] != b0:
+                # every other gain kept its bits: the best changes only if
+                # a changed cluster now prices at or above it
+                best, na, old_a, row = gains[y], new_a[y], cluster_terms[a], joins[y]
+                for c in changed:
+                    if (dense or c in flows[y]) and (na + row[c]) - (old_a + cluster_terms[c]) >= best:
+                        break
+                else:
+                    continue
+            self._pick(y)

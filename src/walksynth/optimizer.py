@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .graph import Graph
-from .objective import CRITERIA, FlowMoveState, ObjectiveReport, evaluate_partition
+from .objective import CRITERIA, FlowMoveState, MoveRows, ObjectiveReport, evaluate_partition
 from .partitions import Partition
 from .walk import RandomWalk, cluster_aggregates, mass_and_within, transition_matrix
 
@@ -81,27 +81,38 @@ def _local_moving(state: FlowMoveState, rng: np.random.Generator) -> int:
 
 def _chain_pass(state: FlowMoveState) -> bool:
     """Tentatively chain best moves (each node at most once), then keep the
-    best prefix if it improved; otherwise roll everything back."""
+    best prefix if it improved; otherwise roll everything back.
+
+    Each step makes the best move of any unmoved node as ``best_move``
+    prices it, the first node's on a tie. ``MoveRows`` prices every node once
+    and after each step reprices only what the step changed, so every price
+    keeps the bits a rescan would give it. Moving x from cluster a0 to b0
+    changes the mass and within-cluster flow of a0 and b0 and, for x's
+    neighbours, the flow toward them. Every other flow sum adds the same
+    flows in the same order, and every other join term has the same inputs.
+    So a node outside a0 and b0 keeps all its gains but those into a0 and
+    b0, and its other targets keep their order: sparse targets come in order
+    of first neighbour, which the move changes only for a0 and b0. If its
+    best was elsewhere, it stays best unless a gain into a0 or b0 is at or
+    above it, as only a larger gain, or an equal one earlier in the scan, can
+    displace it. Every other node is picked again by ``best_move``'s scan,
+    with its order and its strict ``>``.
+    """
     n = len(state.assignment)
     snap = state.snapshot()
-    moved: set[int] = set()
+    rows = MoveRows(state)
+    gains, targets = rows.gains, rows.targets
     seq: list[tuple[int, int]] = []
     cum = 0.0
     best_cum = 0.0
     best_len = 0
     for _ in range(n):
-        best = None
-        for node in range(n):
-            if node in moved:
-                continue
-            g, target = state.best_move(node, -np.inf)
-            if target is not None and (best is None or g > best[0]):
-                best = (g, node, target)
-        if best is None:
+        g = max(gains)
+        node = gains.index(g)
+        target = targets[node]
+        if target is None:
             break
-        g, node, target = best
-        state.apply(node, target)
-        moved.add(node)
+        rows.move(node, target)
         seq.append((node, target))
         cum += g
         if cum > best_cum:

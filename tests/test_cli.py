@@ -442,6 +442,23 @@ def test_oracle_refuses_large_graphs(tmp_path, capsys):
     assert "cap" in stderr
 
 
+def test_integer_flags_below_one_are_usage_errors(triangles, capsys):
+    # an enumeration cap or a minimum cluster size below 1 is refused by
+    # argparse, with the usage line, before the graph is read
+    graph, truth = triangles
+    for argv, flag, value in (
+        (["oracle", "--graph", graph], "--cap", "0"),
+        (["oracle", "--graph", graph], "--cap", "-1"),
+        (["stats", "--graph", graph, "--partition", truth], "--min-size", "0"),
+        (["stats", "--graph", graph, "--partition", truth], "--min-size", "-1"),
+    ):
+        rc, stdout, stderr = run(capsys, *argv, flag, value)
+        assert rc == 1, (flag, value)
+        assert stdout == ""
+        assert stderr.startswith("usage:")
+        assert f"{flag}: {flag[2:]} must be at least 1, got {value}" in stderr
+
+
 # ----------------------------------------------------------------- plumbing
 
 def test_no_command_loads_scipy(tmp_path):

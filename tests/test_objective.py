@@ -28,7 +28,14 @@ from walksynth import (
 )
 from walksynth.objective import MODULARITY, SYNTHESIS
 from walksynth.optimizer import _partition_value
-from util import dense, random_connected_graph, random_partition, reference_gain, triangle
+from util import (
+    dense,
+    random_connected_graph,
+    random_partition,
+    reference_gain,
+    triangle,
+    weighted_version,
+)
 
 LOG2_3_OVER_2 = math.log2(1.5)
 
@@ -281,15 +288,6 @@ def test_modularity_input_restrictions():
     g, part = disconnected_cliques([3, 3])
     with pytest.raises(ValueError):
         modularity(g, Partition.singletons(5))
-
-
-def weighted_version(rng, g):
-    """``g`` with random edge weights and self-loops on about half its nodes."""
-    from walksynth import Graph
-
-    loops = np.flatnonzero(rng.random(g.n) < 0.5)
-    u, v = np.concatenate([g.u, loops]), np.concatenate([g.v, loops])
-    return Graph(n=g.n, u=u, v=v, w=rng.uniform(0.1, 3.0, len(u)))
 
 
 def test_modularity_and_its_exhaustive_optimum_match_networkx():

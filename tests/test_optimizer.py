@@ -28,9 +28,15 @@ from walksynth import (
     RandomWalk,
 )
 from walksynth import optimizer
-from walksynth.objective import MODULARITY, SYNTHESIS
+from walksynth.objective import FRESH, MODULARITY, SYNTHESIS, MoveRows
 from walksynth.optimizer import _chain_pass, _local_moving, _partition_value, _refine_level
-from util import random_connected_graph, random_partition, triangle
+from util import (
+    random_connected_graph,
+    random_partition,
+    reference_chain_pass,
+    triangle,
+    weighted_version,
+)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -100,6 +106,18 @@ def test_planted_partition_midnoise_recovery():
     assert ami(truth, part) >= 0.95
 
 
+def test_synthesis_finds_many_small_communities_that_modularity_merges():
+    # the paper's small-communities claim: 100 communities of 10 at mean
+    # degree 6, where modularity's resolution limit merges communities
+    g, truth = planted_partition(PlantedPartitionParams([10] * 100, 6, 0.2), seed=1)
+    found = {
+        objective: ami(truth, optimize(g, OptimizerConfig(objective, seed=1))[0])
+        for objective in OBJECTIVES
+    }
+    assert found["synthesis"] >= 0.95
+    assert found["synthesis"] >= found["modularity"] + 0.2
+
+
 def test_value_never_below_singleton_start():
     rng = np.random.default_rng(73)
     for _ in range(10):
@@ -162,6 +180,89 @@ def test_failed_escapes_leave_the_state_bit_for_bit(criterion, seed, n, settle):
     after = _bits(state.assignment, state.mass, state.within, state.counts, state.free_ids,
                   state.cluster_terms, state.active)
     assert after == before
+
+
+def _chain_input(criterion, seed: int, n: int, weighted: bool, settle: bool) -> FlowMoveState:
+    """A state on a random connected graph of ``n`` nodes, weighted with
+    self-loops or not, from a random partition with about a third of its
+    nodes alone, settled by local moving or not."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, min(0.6, 4.0 / n))
+    if weighted:
+        g = weighted_version(rng, g)
+    assignment = random_partition(rng, n).assignment
+    lone = rng.random(n) < 0.3
+    assignment[lone] = n + np.flatnonzero(lone)
+    state = FlowMoveState(transition_matrix(g), Partition(assignment), criterion)
+    if settle:
+        _local_moving(state, rng)
+    return state
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([SYNTHESIS, MODULARITY]), st.integers(0, 2**32 - 1), st.integers(3, 40),
+       st.booleans(), st.booleans())
+def test_chain_pass_matches_the_rescanning_pass(criterion, seed, n, weighted, settle):
+    # the cached rows make every move a rescan of every node would make, so
+    # passes in a row keep returning the same and leave bit-equal states;
+    # FRESH moves, emptied clusters and reused ids all occur here
+    state = _chain_input(criterion, seed, n, weighted, settle)
+    reference = FlowMoveState(state.walk, state.partition(), criterion)
+    reference.restore(state.snapshot())
+    for _ in range(4):
+        kept = _chain_pass(state)
+        assert kept == reference_chain_pass(reference)
+        assert _bits(*state.snapshot()) == _bits(*reference.snapshot())
+        if not kept:
+            break
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([SYNTHESIS, MODULARITY]), st.integers(0, 2**32 - 1), st.integers(3, 30),
+       st.booleans())
+def test_move_rows_keep_every_best_move_current(criterion, seed, n, weighted):
+    # after any moves, not only best ones, each unmoved node's cached best is
+    # best_move's to the bit
+    state = _chain_input(criterion, seed, n, weighted, False)
+    rng = np.random.default_rng(seed)
+    rows = MoveRows(state)
+    for x in rng.permutation(n).tolist():
+        for y in range(n):
+            got = (repr(rows.gains[y]), rows.targets[y])
+            if rows.moved[y]:
+                assert got == (repr(-math.inf), None)
+            else:
+                gain, target = state.best_move(y, -math.inf)
+                assert got == (repr(gain), target)
+        a = state.assignment[x]
+        targets = [c for c in state.active if c != a]
+        if state.counts[a] > 1:
+            targets.append(FRESH)
+        if targets:
+            rows.move(x, targets[rng.integers(len(targets))])
+
+
+@pytest.mark.parametrize("criterion", [SYNTHESIS, MODULARITY])
+def test_chain_pass_prices_each_node_once(monkeypatch, criterion):
+    # flows_to_clusters: the first pricing (n), one apply per step (n), the
+    # kept prefix applied again (n) and one rebuild per unmoved neighbour of
+    # each moved node; rescanning every node per step took about n^2 / 2
+    calls = [0]
+    flows_to_clusters = FlowMoveState.flows_to_clusters
+
+    def counting(state, node):
+        calls[0] += 1
+        return flows_to_clusters(state, node)
+
+    monkeypatch.setattr(FlowMoveState, "flows_to_clusters", counting)
+    for seed, sizes in enumerate(([8, 8, 8], [6, 7, 8, 9], [9, 10, 11])):
+        g, _ = planted_partition(PlantedPartitionParams(sizes, k_avg=5, mu=0.2), seed)
+        rng = np.random.default_rng(seed)
+        state = FlowMoveState(transition_matrix(g), random_partition(rng, g.n), criterion)
+        _local_moving(state, rng)
+        calls[0] = 0
+        _chain_pass(state)
+        assert calls[0] <= 3 * g.n + sum(len(nbrs) for nbrs in state.nbr_idx), sizes
 
 
 def _settled_level(walk0, part, coarse, rng, criterion) -> tuple[Partition, set]:

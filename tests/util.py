@@ -7,6 +7,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from walksynth import FRESH, Graph, Partition, transition_matrix
+from walksynth.optimizer import MIN_GAIN
 
 
 def gnp_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -24,6 +25,13 @@ def random_connected_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
         indptr, indices, data = g.adjacency
         if connected_components(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))[0] == 1:
             return g
+
+
+def weighted_version(rng: np.random.Generator, g: Graph) -> Graph:
+    """``g`` with random edge weights and self-loops on about half its nodes."""
+    loops = np.flatnonzero(rng.random(g.n) < 0.5)
+    u, v = np.concatenate([g.u, loops]), np.concatenate([g.v, loops])
+    return Graph(n=g.n, u=u, v=v, w=rng.uniform(0.1, 3.0, len(u)))
 
 
 def dense(walk, values: np.ndarray) -> np.ndarray:
@@ -81,3 +89,41 @@ def reference_gain(state, node: int, target: int) -> float:
     new += term(mass[target] + p, within[target] + flows.get(target, 0.0) + sl)
     old += term(mass[target], within[target])
     return new - old
+
+
+def reference_chain_pass(state) -> bool:
+    """The chained-move escape by rescanning: before each step, price every
+    unmoved node with ``best_move`` and make the best move, the first node's
+    on a tie; then keep the best prefix if it gained more than MIN_GAIN, or
+    roll everything back."""
+    n = len(state.assignment)
+    snap = state.snapshot()
+    moved: set[int] = set()
+    seq: list[tuple[int, int]] = []
+    cum = 0.0
+    best_cum = 0.0
+    best_len = 0
+    for _ in range(n):
+        best = None
+        for node in range(n):
+            if node in moved:
+                continue
+            g, target = state.best_move(node, -np.inf)
+            if target is not None and (best is None or g > best[0]):
+                best = (g, node, target)
+        if best is None:
+            break
+        g, node, target = best
+        state.apply(node, target)
+        moved.add(node)
+        seq.append((node, target))
+        cum += g
+        if cum > best_cum:
+            best_cum = cum
+            best_len = len(seq)
+    state.restore(snap)
+    if best_cum <= MIN_GAIN:
+        return False
+    for node, target in seq[:best_len]:
+        state.apply(node, target)
+    return True

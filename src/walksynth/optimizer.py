@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -40,7 +39,7 @@ MIN_GAIN = 1e-12
 #: Most refine-then-coarsen rounds one search runs.
 MAX_ROUNDS = 100
 
-#: Partitions scored per numpy call by the exhaustive search.
+#: Most rows in one ``set_partitions`` block: bounds the oracle's memory.
 ORACLE_BLOCK = 4096
 
 
@@ -97,6 +96,10 @@ def _chain_pass(state: FlowMoveState) -> bool:
     above it, as only a larger gain, or an equal one earlier in the scan, can
     displace it. Every other node is picked again by ``best_move``'s scan,
     with its order and its strict ``>``.
+
+    Raises:
+        RuntimeError: a kept prefix did not raise the value; mispriced moves
+            would otherwise repeat such passes forever.
     """
     n = len(state.assignment)
     snap = state.snapshot()
@@ -121,8 +124,12 @@ def _chain_pass(state: FlowMoveState) -> bool:
     state.restore(snap)
     if best_cum <= MIN_GAIN:
         return False
+    before = sum(state.cluster_terms)
     for node, target in seq[:best_len]:
         state.apply(node, target)
+    if not (after := sum(state.cluster_terms)) > before:
+        raise RuntimeError(f"a kept chain pass on a {n}-node level did not raise "
+                           f"its value: {before!r} -> {after!r}")
     return True
 
 
@@ -245,22 +252,26 @@ def _search_rounds(
 
 
 def set_partitions(n: int):
-    """Yield every partition of n items as a dense assignment array, in
-    lexicographic restricted-growth order (single cluster first)."""
-    a = np.zeros(n, dtype=np.int64)
-    prefix_max = np.zeros(n, dtype=np.int64)
-    while True:
-        yield a
-        i = n - 1
-        while i > 0 and a[i] == prefix_max[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        prefix_max[i] = max(prefix_max[i - 1], a[i])
-        for j in range(i + 1, n):
-            a[j] = 0
-            prefix_max[j] = prefix_max[i]
+    """Every partition of n >= 1 items as dense assignments, in (B, n) int64
+    blocks of at most ORACLE_BLOCK rows (read at call time) whose rows run in
+    lexicographic restricted-growth order, single cluster first."""
+    if n < 1:
+        raise ValueError(f"set partitions need at least one item, got {n}")
+    return _grow(np.zeros((1, 1), dtype=np.int64), n, ORACLE_BLOCK)
+
+
+def _grow(prefixes: np.ndarray, n: int, limit: int):
+    """Completions of ``prefixes``: one with largest label M gets children 0..M+1."""
+    if prefixes.shape[1] == n:
+        yield prefixes
+        return
+    counts = prefixes.max(axis=1) + 2
+    ends = np.cumsum(counts)
+    for lo in range(0, ends[-1], limit):
+        child = np.arange(lo, min(lo + limit, ends[-1]))
+        parent = np.searchsorted(ends, child, side="right")
+        labels = child - ends[parent] + counts[parent]
+        yield from _grow(np.column_stack([prefixes[parent], labels]), n, limit)
 
 
 def brute_force_optimum(
@@ -268,9 +279,9 @@ def brute_force_optimum(
 ) -> tuple[Partition, float]:
     """Exhaustively maximize a criterion over all partitions of a small graph.
 
-    Ties break toward fewer clusters, then the lexicographically smallest
-    assignment (enumeration order). The single cluster scores exactly 0
-    under either criterion.
+    Scores ``set_partitions`` block by block. Ties break toward fewer
+    clusters, then the first assignment in (lexicographic) enumeration order.
+    The single cluster scores exactly 0 under either criterion.
 
     Args:
         g: the graph; must have at most ``n_cap`` nodes.
@@ -289,8 +300,7 @@ def brute_force_optimum(
     weights = criterion.weights(g)
 
     best_val, best_k, best_a = -np.inf, 0, None
-    partitions = set_partitions(g.n)
-    while len(block := np.array([a.copy() for a in islice(partitions, ORACLE_BLOCK)])):
+    for block in set_partitions(g.n):
         values = _block_values(criterion, weights, block)
         ks = block.max(axis=1) + 1
         top = np.flatnonzero(values == values.max())

@@ -2,6 +2,7 @@
 partition enumerator."""
 
 import math
+import signal
 from array import array
 
 import numpy as np
@@ -33,12 +34,14 @@ from walksynth.optimizer import _chain_pass, _local_moving, _partition_value, _r
 from util import (
     random_connected_graph,
     random_partition,
+    reference_brute_force,
     reference_chain_pass,
     triangle,
     weighted_version,
 )
 
-BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975,
+        11: 678570}
 
 
 # ------------------------------------------------------------- end to end
@@ -173,10 +176,13 @@ def test_failed_escapes_leave_the_state_bit_for_bit(criterion, seed, n, settle):
     state = FlowMoveState(transition_matrix(g), random_partition(rng, n), criterion)
     if settle:
         _local_moving(state, rng)
-    while True:
+    # each kept pass raises the value, so one of n passes fails
+    for _ in range(n):
         before = _bits(*state.snapshot())
         if not _chain_pass(state):
             break
+    else:
+        pytest.fail(f"{n} chain passes in a row were all kept")
     after = _bits(state.assignment, state.mass, state.within, state.counts, state.free_ids,
                   state.cluster_terms, state.active)
     assert after == before
@@ -263,6 +269,39 @@ def test_chain_pass_prices_each_node_once(monkeypatch, criterion):
         calls[0] = 0
         _chain_pass(state)
         assert calls[0] <= 3 * g.n + sum(len(nbrs) for nbrs in state.nbr_idx), sizes
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the search did not stop within 10 s")
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_a_mispriced_chain_pass_fails_loudly(monkeypatch, objective):
+    # MoveRows that leaves the join terms of a moved node's old cluster
+    # stale keeps passes that do not gain, and a level that chains passes
+    # until one fails would loop forever; the kept pass's check raises
+    move, column = MoveRows.move, MoveRows._column
+
+    def stale_move(rows, x, target):
+        rows.stale = rows.state.assignment[x]
+        move(rows, x, target)
+        rows.stale = None
+
+    def stale_column(rows, c):
+        if c != getattr(rows, "stale", None):
+            column(rows, c)
+
+    monkeypatch.setattr(MoveRows, "move", stale_move)
+    monkeypatch.setattr(MoveRows, "_column", stale_column)
+    g, _ = planted_partition(PlantedPartitionParams([6, 8, 10], k_avg=5, mu=0.2), seed=1)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RuntimeError, match="24-node level did not raise its value"):
+            optimize(g, OptimizerConfig(objective, seed=1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _settled_level(walk0, part, coarse, rng, criterion) -> tuple[Partition, set]:
@@ -391,17 +430,25 @@ def test_aggregated_graph_respects_coarser_partitions(case):
 
 def test_partition_enumeration_counts():
     for n, count in BELL.items():
-        assert sum(1 for _ in set_partitions(n)) == count
+        assert sum(len(block) for block in set_partitions(n)) == count
+
+
+def _restricted_growth(n: int, prefix: tuple = (0,)):
+    if len(prefix) == n:
+        yield prefix
+        return
+    for label in range(max(prefix) + 2):
+        yield from _restricted_growth(n, prefix + (label,))
 
 
 def test_partition_enumeration_order_and_reuse():
-    seen = [p.copy() for p in set_partitions(3)]
-    assert np.array_equal(seen[0], [0, 0, 0])
-    assert np.array_equal(seen[-1], [0, 1, 2])
-    assert len(seen) == 5
-    # the generator reuses its buffer; callers who keep them must copy
-    raw = list(set_partitions(3))
-    assert all(arr is raw[0] for arr in raw)
+    # every block is a fresh array, so blocks kept in a list stay intact
+    for n in range(1, 10):
+        blocks = list(set_partitions(n))
+        assert all(len(block) <= optimizer.ORACLE_BLOCK for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), list(_restricted_growth(n)))
+    with pytest.raises(ValueError, match="at least one item"):
+        set_partitions(0)
 
 
 def test_brute_force_triangle_synthesis():
@@ -423,6 +470,31 @@ def test_brute_force_modularity_tie_prefers_fewer_clusters():
     part, value = brute_force_optimum(g, objective="modularity")
     assert part == Partition.single_cluster(4)
     assert value == pytest.approx(0.0, abs=1e-15)
+
+
+def _oracle_graphs() -> list[Graph]:
+    """Graphs of 1-9 nodes, plain and weighted with self-loops, and the
+    4-cycle, whose pairings tie its single cluster at Q = 0."""
+    rng = np.random.default_rng(53)
+    graphs = [Graph(n=1, u=np.array([0]), v=np.array([0]), w=np.ones(1)),
+              Graph(n=4, u=np.array([0, 1, 2, 3]), v=np.array([1, 2, 3, 0]), w=np.ones(4))]
+    for n in range(2, 10):
+        plain = [random_connected_graph(rng, n, 0.5) for _ in range(2)]
+        graphs += plain + [weighted_version(rng, g) for g in plain]
+    return graphs
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_brute_force_matches_the_one_partition_at_a_time_oracle(monkeypatch, block):
+    # blocks of 5 rows put tied optima on both sides of block boundaries
+    if block is not None:
+        monkeypatch.setattr(optimizer, "ORACLE_BLOCK", block)
+    for g in _oracle_graphs():
+        for objective in OBJECTIVES:
+            part, value = brute_force_optimum(g, objective)
+            ref_part, ref_value = reference_brute_force(g, objective)
+            assert part == ref_part, (g.n, objective)
+            assert repr(value) == repr(ref_value), (g.n, objective)
 
 
 def test_brute_force_agrees_with_optimizer_on_small_graphs():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from walksynth import FRESH, Graph, Partition, transition_matrix
-from walksynth.optimizer import MIN_GAIN
+from walksynth.objective import CRITERIA
+from walksynth.optimizer import MIN_GAIN, _block_values
 
 
 def gnp_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -127,3 +130,39 @@ def reference_chain_pass(state) -> bool:
     for node, target in seq[:best_len]:
         state.apply(node, target)
     return True
+
+
+def reference_brute_force(g: Graph, objective: str = "synthesis") -> tuple[Partition, float]:
+    """The exhaustive oracle one partition at a time: Knuth's Algorithm H
+    (TAOCP 4A, 7.2.1.5) steps through the restricted-growth strings in
+    lexicographic order, each is copied, and 4096 at a time are stacked and
+    scored. The best value wins, then fewer clusters, then the first."""
+
+    def restricted_growth_strings(n: int):
+        a = np.zeros(n, dtype=np.int64)
+        prefix_max = np.zeros(n, dtype=np.int64)
+        while True:
+            yield a
+            i = n - 1
+            while i > 0 and a[i] == prefix_max[i - 1] + 1:
+                i -= 1
+            if i == 0:
+                return
+            a[i] += 1
+            prefix_max[i] = max(prefix_max[i - 1], a[i])
+            for j in range(i + 1, n):
+                a[j] = 0
+                prefix_max[j] = prefix_max[i]
+
+    criterion = CRITERIA[objective]
+    weights = criterion.weights(g)
+    best_val, best_k, best_a = -np.inf, 0, None
+    partitions = restricted_growth_strings(g.n)
+    while len(block := np.array([a.copy() for a in islice(partitions, 4096)])):
+        values = _block_values(criterion, weights, block)
+        ks = block.max(axis=1) + 1
+        top = np.flatnonzero(values == values.max())
+        i = top[np.argmin(ks[top])]
+        if values[i] > best_val or (values[i] == best_val and ks[i] < best_k):
+            best_val, best_k, best_a = values[i], ks[i], block[i]
+    return Partition(best_a), float(best_val)

@@ -23,28 +23,18 @@ from .metrics import (
 )
 from .objective import (
     FRESH,
+    OBJECTIVES,
     FlowMoveState,
     ObjectiveReport,
-    SyntheticWalkParams,
     evaluate_partition,
     modularity,
-    objective_identity_check,
-    optimal_parameters,
-    synthetic_transition_matrix,
 )
-from .optimizer import (
-    OBJECTIVES,
-    OptimizerConfig,
-    brute_force_optimum,
-    optimize,
-    set_partitions,
-)
+from .optimizer import OptimizerConfig, brute_force_optimum, optimize, set_partitions
 from .partitions import Partition, partition_for_graph, read_partition_labels, write_partition
 from .walk import (
     IsolatedNodeError,
     RandomWalk,
     cluster_aggregates,
-    kld_rate,
     mutual_info_nodes,
     transition_matrix,
 )
@@ -69,15 +59,11 @@ __all__ = [
     "greedy_match",
     "write_cluster_stats_csv",
     "FRESH",
+    "OBJECTIVES",
     "FlowMoveState",
     "ObjectiveReport",
-    "SyntheticWalkParams",
     "evaluate_partition",
     "modularity",
-    "objective_identity_check",
-    "optimal_parameters",
-    "synthetic_transition_matrix",
-    "OBJECTIVES",
     "OptimizerConfig",
     "brute_force_optimum",
     "optimize",
@@ -89,7 +75,6 @@ __all__ = [
     "IsolatedNodeError",
     "RandomWalk",
     "cluster_aggregates",
-    "kld_rate",
     "mutual_info_nodes",
     "transition_matrix",
 ]

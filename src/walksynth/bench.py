@@ -28,8 +28,9 @@ from .graph import (
     write_lines,
 )
 from .metrics import ami
-from .optimizer import OBJECTIVES, OptimizerConfig, optimize
-from .walk import IsolatedNodeError
+from .objective import criterion_for
+from .optimizer import OptimizerConfig, optimize
+from .walk import IsolatedNodeError, transition_matrix
 
 RAW_HEADER = "n,k_avg,sizes,mu,realization,objective,ami,objective_value,ms"
 AGG_HEADER = "n,k_avg,sizes,mu,objective,ami_mean,ami_std,count"
@@ -54,8 +55,7 @@ class SweepSpec:
         if not self.objectives or len(set(self.objectives)) < len(self.objectives):
             raise ValueError(f"objectives: expected distinct names, got {list(self.objectives)}")
         for obj in self.objectives:
-            if obj not in OBJECTIVES:
-                raise ValueError(f"unknown objective {obj!r}, expected one of {OBJECTIVES}")
+            criterion_for(obj)
         if not self.mu_values:
             raise ValueError("at least one mu value required")
         # parameter domains are config errors; per-seed feasibility is not
@@ -156,47 +156,29 @@ def derive_seed(spec: SweepSpec, mu: float, realization: int) -> int:
 
 def _run_point(spec: SweepSpec, mu: float, realization: int, timing: bool) -> list[SweepResultRow]:
     seed = derive_seed(spec, mu, realization)
-    rows = []
     try:
         params = PlantedPartitionParams(
             community_sizes=spec.community_sizes, k_avg=spec.k_avg, mu=mu
         )
         g, truth = planted_partition(params, seed)
+        # a drawn zero-degree node fails the draw, with the walk's own message
+        transition_matrix(g)
+    except (InfeasibleModelError, IsolatedNodeError) as exc:
+        # keep the grid point visible in the output instead of dropping it
+        print(f"warning: mu={mu} realization={realization} failed: {exc}", file=sys.stderr)
+        results = [(objective, math.nan, math.nan, 0) for objective in spec.objectives]
+    else:
+        # the search runs outside the except: an error inside it is a fault
+        results = []
         for objective in spec.objectives:
             start = time.perf_counter()
             found, report = optimize(g, OptimizerConfig(objective=objective, seed=seed))
             ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
-            rows.append(
-                SweepResultRow(
-                    n=spec.n,
-                    k_avg=spec.k_avg,
-                    sizes=spec.sizes_id,
-                    mu=mu,
-                    realization=realization,
-                    objective=objective,
-                    ami=ami(truth, found),
-                    objective_value=report.value,
-                    ms=ms,
-                )
-            )
-    except (InfeasibleModelError, IsolatedNodeError) as exc:
-        # keep the grid point visible in the output instead of dropping it
-        for objective in spec.objectives:
-            rows.append(
-                SweepResultRow(
-                    n=spec.n,
-                    k_avg=spec.k_avg,
-                    sizes=spec.sizes_id,
-                    mu=mu,
-                    realization=realization,
-                    objective=objective,
-                    ami=float("nan"),
-                    objective_value=float("nan"),
-                    ms=0,
-                )
-            )
-        print(f"warning: mu={mu} realization={realization} failed: {exc}", file=sys.stderr)
-    return rows
+            results.append((objective, ami(truth, found), report.value, ms))
+    return [
+        SweepResultRow(spec.n, spec.k_avg, spec.sizes_id, mu, realization, *result)
+        for result in results
+    ]
 
 
 def run_sweep(spec: SweepSpec, timing: bool = False, workers: int = 1) -> list[SweepResultRow]:

@@ -22,8 +22,8 @@ from .graph import (
     planted_partition,
     write_label_map,
 )
-from .objective import modularity
-from .optimizer import OBJECTIVES, OptimizerConfig, brute_force_optimum, optimize
+from .objective import OBJECTIVES, modularity
+from .optimizer import OptimizerConfig, brute_force_optimum, optimize
 from .partitions import Partition, partition_for_graph, read_partition_labels, write_partition
 
 

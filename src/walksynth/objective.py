@@ -27,7 +27,6 @@ from .partitions import Partition
 from .walk import (
     RandomWalk,
     cluster_aggregates,
-    kld_rate,
     mass_and_within,
     mutual_info_nodes,
     transition_matrix,
@@ -114,6 +113,18 @@ SYNTHESIS = _Synthesis()
 MODULARITY = _Modularity()
 #: the criteria the optimizer searches by moves, by objective name
 CRITERIA = {"synthesis": SYNTHESIS, "modularity": MODULARITY}
+OBJECTIVES = tuple(CRITERIA)
+
+
+def criterion_for(objective: str):
+    """The criterion of an objective name.
+
+    Raises:
+        ValueError: a name not in OBJECTIVES.
+    """
+    if objective not in CRITERIA:
+        raise ValueError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
+    return CRITERIA[objective]
 
 
 @dataclass
@@ -181,99 +192,6 @@ def modularity(g: Graph, part: Partition) -> float:
     )
     degree_sums = np.bincount(assign, weights=degrees, minlength=part.num_clusters)
     return float(np.sum(MODULARITY.terms(degree_sums / two_m, internal / m)))
-
-
-@dataclass
-class SyntheticWalkParams:
-    """Parameters of the block-structured synthetic walk.
-
-    ``r`` holds one entry per node: the within-cluster visit distribution of
-    the node's own cluster (each cluster's entries sum to 1). ``s`` is the
-    per-cluster leave probability, ``u`` the cluster choice distribution used
-    after leaving.
-    """
-
-    r: np.ndarray
-    s: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=np.float64)
-        self.s = np.asarray(self.s, dtype=np.float64)
-        self.u = np.asarray(self.u, dtype=np.float64)
-        if len(self.s) != len(self.u):
-            raise ValueError("s and u must have one entry per cluster")
-
-    def validate(self, part: Partition) -> None:
-        if len(self.r) != part.n or len(self.s) != part.num_clusters:
-            raise ValueError("parameter shapes do not match the partition")
-        sums = np.bincount(part.assignment, weights=self.r, minlength=part.num_clusters)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
-            raise ValueError("per-cluster node distributions must sum to 1")
-        if np.any((self.s < 0) | (self.s > 1)):
-            raise ValueError("leave probabilities must lie in [0, 1]")
-        if np.any(self.u < 0) or abs(self.u.sum() - 1.0) > 1e-12:
-            raise ValueError("cluster choice distribution must be a probability vector")
-
-
-def optimal_parameters(walk: RandomWalk, part: Partition) -> SyntheticWalkParams:
-    """Divergence-minimizing synthetic-walk parameters for a partition:
-    within-cluster distributions proportional to stationary mass, leave
-    probabilities matching the walk's, and cluster choice equal to cluster
-    mass."""
-    mass, within = mass_and_within(walk, part.assignment, part.num_clusters)
-    r = walk.p / mass[part.assignment]
-    s = np.clip(1.0 - within / mass, 0.0, 1.0)
-    # a cluster holding all stationary mass has nowhere to leave to; kill
-    # the accumulated-roundoff dust that would otherwise land in s
-    s[mass >= 1.0] = 0.0
-    return SyntheticWalkParams(r=r, s=s, u=mass)
-
-
-def synthetic_transition_matrix(part: Partition, params: SyntheticWalkParams) -> np.ndarray:
-    """Dense transition matrix of the synthetic walk.
-
-    Within cluster i: q(a -> b) = r_b (1 - s_i). Across clusters i -> j:
-    q(a -> b) = r_b s_i u_j / (1 - u_i).
-
-    Raises:
-        ValueError: invalid parameters, or u_i = 1 with s_i > 0 (leaving a
-            cluster that holds all choice mass is ill-defined).
-    """
-    params.validate(part)
-    m = part.assignment
-    s_row = params.s[m]
-    u_row = params.u[m]
-    remain = 1.0 - u_row
-    if np.any((remain <= 0.0) & (s_row > 0.0)):
-        raise ValueError("u = 1 with positive leave probability is ill-defined")
-    cross = np.where(remain > 0.0, s_row / np.where(remain > 0.0, remain, 1.0), 0.0)
-    same = m[:, None] == m[None, :]
-    q = params.r[None, :] * np.where(
-        same, (1.0 - s_row)[:, None], cross[:, None] * params.u[m][None, :]
-    )
-    rows = q.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > 1e-12):
-        raise ValueError("synthetic rows failed to normalize")
-    return q
-
-
-def objective_identity_check(walk: RandomWalk, part: Partition) -> tuple[float, float]:
-    """Evaluate both sides of the divergence identity.
-
-    Left side: KL divergence rate between the walk and the optimal synthetic
-    walk for this partition. Right side: node-level mutual information minus
-    the synthesis objective. The left side never exceeds the right side (up
-    to numerics); equality holds when no cluster switches occur or the
-    cluster choice distribution is exact.
-    """
-    params = optimal_parameters(walk, part)
-    q = synthetic_transition_matrix(part, params)
-    P = np.zeros((walk.n, walk.n))
-    P[walk.rows, walk.indices] = walk.P
-    lhs = kld_rate(P, q, walk.p)
-    report = evaluate_partition(walk, part)
-    return lhs, report.bound_node_mi - report.value
 
 
 class FlowMoveState:

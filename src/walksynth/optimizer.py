@@ -24,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .objective import CRITERIA, FlowMoveState, MoveRows, ObjectiveReport, evaluate_partition
+from .objective import FlowMoveState, MoveRows, ObjectiveReport, criterion_for, evaluate_partition
 from .partitions import Partition
 from .walk import RandomWalk, cluster_aggregates, mass_and_within, transition_matrix
-
-OBJECTIVES = tuple(CRITERIA)
 
 #: Levels at most this large also get the chained-move escape phase.
 CHAIN_NODE_CAP = 128
@@ -49,8 +47,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
+        criterion_for(self.objective)
 
 
 def _local_moving(state: FlowMoveState, rng: np.random.Generator) -> int:
@@ -206,7 +203,7 @@ def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, O
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
     walk0 = transition_matrix(g)
-    criterion = CRITERIA[cfg.objective]
+    criterion = criterion_for(cfg.objective)
     rng = np.random.default_rng(cfg.seed)
 
     best_part, best_value = None, -np.inf
@@ -291,12 +288,9 @@ def brute_force_optimum(
     Returns:
         (Partition, value) of the exact optimum.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
+    criterion = criterion_for(objective)
     if g.n > n_cap:
         raise ValueError(f"graph has {g.n} nodes, exceeding the enumeration cap {n_cap}")
-
-    criterion = CRITERIA[objective]
     weights = criterion.weights(g)
 
     best_val, best_k, best_a = -np.inf, 0, None

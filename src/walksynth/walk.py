@@ -1,8 +1,6 @@
 """Stationary random walk induced by an undirected graph, the cluster walk
-of a partition, and the information-theoretic quantities defined on them.
-
-All entropies, divergences, and mutual informations are in bits, with the
-usual 0*log(0) = 0 convention.
+of a partition, and the mutual information of a walk's consecutive steps,
+in bits, with the usual 0*log(0) = 0 convention.
 """
 
 from __future__ import annotations
@@ -170,28 +168,3 @@ def mutual_info_nodes(walk: RandomWalk) -> float:
     mask = (data > 0.0) & (walk.p[rows] > 0.0)
     data, rows, cols = data[mask], rows[mask], cols[mask]
     return float(np.sum(walk.p[rows] * data * np.log2(data / walk.p[cols])))
-
-
-def kld_rate(P: np.ndarray, Q: np.ndarray, p: np.ndarray) -> float:
-    """KL divergence rate in bits between two walks, given as dense
-    transition matrices, sharing the invariant distribution ``p``: sum over
-    transitions of p_a P_ab log(P_ab / Q_ab).
-
-    Returns +inf when Q assigns zero probability to a transition that P
-    takes with positive stationary flow.
-
-    Raises:
-        ValueError: on dimension mismatch.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    n = len(p)
-    if P.shape != (n, n) or Q.shape != (n, n):
-        raise ValueError("matrix shapes must match the distribution length")
-    rows, cols = np.nonzero((P > 0.0) & (p[:, None] > 0.0))
-    data = P[rows, cols]
-    qvals = Q[rows, cols]
-    if np.any(qvals <= 0.0):
-        return float("inf")
-    return float(np.sum(p[rows] * data * np.log2(data / qvals)))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from test_metrics import ami_permutation_oracle
-from util import random_connected_graph, random_partition
+from util import objective_identity_check, random_connected_graph, random_partition
 
 import walksynth
 from walksynth import (
@@ -34,7 +34,6 @@ from walksynth import (
     greedy_match,
     modularity,
     mutual_info_nodes,
-    objective_identity_check,
     optimize,
     transition_matrix,
 )

@@ -6,6 +6,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from walksynth import IsolatedNodeError
 from walksynth.bench import (
     AGG_HEADER,
     RAW_HEADER,
@@ -132,14 +133,37 @@ def test_sweep_infeasible_point_yields_nan_rows():
     assert math.isnan(agg.ami_mean)
 
 
+def test_sweep_isolated_node_draws_yield_nan_rows(capsys):
+    # at k_avg 2, realizations 2 and 3 draw a node with no edges; 0 and 1 do not
+    spec = SweepSpec(community_sizes=[6, 6], k_avg=2.0, mu_values=[0.2], realizations=4)
+    rows = run_sweep(spec)
+    assert [r.realization for r in rows] == [0, 1, 2, 3]
+    assert [math.isnan(r.ami) for r in rows] == [False, False, True, True]
+    assert [math.isnan(r.objective_value) for r in rows] == [False, False, True, True]
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 2
+    for realization, line in zip((2, 3), warnings):
+        assert line.startswith(f"warning: mu=0.2 realization={realization} failed: node ")
+        assert line.endswith(" has zero degree")
+
+
 def test_sweep_raises_on_invariant_failures(monkeypatch):
-    # only data errors become nan rows; a broken internal check must surface
+    # only failed draws become nan rows; an error inside the search must
+    # surface, even one of the types a failed draw raises
     def broken(*args, **kwargs):
         raise ValueError("objective value exceeds its cluster-level bound")
 
-    monkeypatch.setattr("walksynth.bench.optimize", broken)
-    with pytest.raises(ValueError, match="cluster-level bound"):
-        run_sweep(small_spec(realizations=1))
+    def isolated(*args, **kwargs):
+        raise IsolatedNodeError("node 0 has zero degree")
+
+    for target, fault, error, match in (
+        ("walksynth.bench.optimize", broken, ValueError, "cluster-level bound"),
+        ("walksynth.optimizer.cluster_aggregates", isolated, IsolatedNodeError, "zero degree"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, fault)
+            with pytest.raises(error, match=match):
+                run_sweep(small_spec(realizations=1))
 
 
 def test_aggregate_rows_mean_and_std():

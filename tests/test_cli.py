@@ -359,6 +359,25 @@ def test_sweep_failure_warning_goes_to_stderr(tmp_path, capsys):
     assert "failed grid points: 1" in stderr
 
 
+def test_sweep_error_inside_the_search_exits_2(tmp_path, capsys, monkeypatch):
+    # a failed draw is a nan row, but the same error type raised by the
+    # search is a fault: exit 2, and no row or CSV is written
+    def isolated(*args, **kwargs):
+        raise walksynth.IsolatedNodeError("node 0 has zero degree")
+
+    monkeypatch.setattr("walksynth.optimizer.cluster_aggregates", isolated)
+    config = tmp_path / "sweep.json"
+    config.write_text(
+        json.dumps({"community_sizes": [20, 20, 20], "k_avg": 10, "mu": [0.0], "realizations": 1})
+    )
+    raw, agg = tmp_path / "raw.csv", tmp_path / "agg.csv"
+    rc, stdout, stderr = run(capsys, "sweep", "--config", config, "--out-raw", raw, "--out-agg", agg)
+    assert rc == 2
+    assert stdout == ""
+    assert stderr == "error: node 0 has zero degree\n"
+    assert not raw.exists() and not agg.exists()
+
+
 def test_sweep_rejects_bad_config(tmp_path, capsys):
     # each message names the file and, for a bad value, its key
     good = {"community_sizes": [4, 4], "k_avg": 2, "mu": [0.2], "realizations": 1}

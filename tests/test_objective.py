@@ -14,25 +14,25 @@ from walksynth import (
     ObjectiveReport,
     Partition,
     RandomWalk,
-    SyntheticWalkParams,
     cluster_aggregates,
     disconnected_cliques,
     evaluate_partition,
-    kld_rate,
     modularity,
     mutual_info_nodes,
-    objective_identity_check,
-    optimal_parameters,
-    synthetic_transition_matrix,
     transition_matrix,
 )
 from walksynth.objective import MODULARITY, SYNTHESIS
 from walksynth.optimizer import _partition_value
 from util import (
+    SyntheticWalkParams,
     dense,
+    kld_rate,
+    objective_identity_check,
+    optimal_parameters,
     random_connected_graph,
     random_partition,
     reference_gain,
+    synthetic_transition_matrix,
     triangle,
     weighted_version,
 )

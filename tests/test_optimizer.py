@@ -21,6 +21,7 @@ from walksynth import (
     cluster_aggregates,
     disconnected_cliques,
     evaluate_partition,
+    modularity,
     optimize,
     planted_partition,
     set_partitions,
@@ -516,3 +517,20 @@ def test_brute_force_cap():
         brute_force_optimum(g)
     part, _ = brute_force_optimum(disconnected_cliques([4])[0], n_cap=4)
     assert part == Partition.singletons(4)
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.5])
+@pytest.mark.parametrize("n, seed", [(200, 1), (500, 2), (1000, 3)])
+def test_modularity_search_reaches_louvain(n, seed, mu):
+    # a differential check against networkx's Louvain (Blondel et al. 2008);
+    # the 0.01 tolerance was fixed before the first run
+    nx = pytest.importorskip("networkx")
+    g, _ = planted_partition(PlantedPartitionParams([n // 10] * 10, k_avg=15, mu=mu), seed)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_weighted_edges_from(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+    assignment = np.empty(g.n, dtype=np.int64)
+    for label, members in enumerate(nx.community.louvain_communities(graph, seed=seed)):
+        assignment[list(members)] = label
+    found, _ = optimize(g, OptimizerConfig("modularity", seed))
+    assert modularity(g, found) >= modularity(g, Partition(assignment)) - 0.01

@@ -14,7 +14,6 @@ from walksynth import (
     RandomWalk,
     cluster_aggregates,
     disconnected_cliques,
-    kld_rate,
     mutual_info_nodes,
     transition_matrix,
 )
@@ -22,6 +21,7 @@ from walksynth.objective import SYNTHESIS
 from walksynth.walk import mass_and_within
 from util import (
     dense,
+    kld_rate,
     random_connected_graph,
     random_partition,
     reference_cluster_walk,

@@ -1,16 +1,19 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders for the test suite, and reference versions of
+package code that the tests check the package against."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from walksynth import FRESH, Graph, Partition, transition_matrix
+from walksynth import FRESH, Graph, Partition, RandomWalk, evaluate_partition, transition_matrix
 from walksynth.objective import CRITERIA
 from walksynth.optimizer import MIN_GAIN, _block_values
+from walksynth.walk import mass_and_within
 
 
 def gnp_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -166,3 +169,126 @@ def reference_brute_force(g: Graph, objective: str = "synthesis") -> tuple[Parti
         if values[i] > best_val or (values[i] == best_val and ks[i] < best_k):
             best_val, best_k, best_a = values[i], ks[i], block[i]
     return Partition(best_a), float(best_val)
+
+
+# The paper's synthetic walk as a dense n x n matrix, and the KL divergence
+# rate on dense matrices: the reference side of the divergence identity
+# (acceptance criterion 04). The package keeps only the CSR walk.
+
+
+@dataclass
+class SyntheticWalkParams:
+    """Parameters of the block-structured synthetic walk.
+
+    ``r`` holds one entry per node: the within-cluster visit distribution of
+    the node's own cluster (each cluster's entries sum to 1). ``s`` is the
+    per-cluster leave probability, ``u`` the cluster choice distribution used
+    after leaving.
+    """
+
+    r: np.ndarray
+    s: np.ndarray
+    u: np.ndarray
+
+    def __post_init__(self):
+        self.r = np.asarray(self.r, dtype=np.float64)
+        self.s = np.asarray(self.s, dtype=np.float64)
+        self.u = np.asarray(self.u, dtype=np.float64)
+        if len(self.s) != len(self.u):
+            raise ValueError("s and u must have one entry per cluster")
+
+    def validate(self, part: Partition) -> None:
+        if len(self.r) != part.n or len(self.s) != part.num_clusters:
+            raise ValueError("parameter shapes do not match the partition")
+        sums = np.bincount(part.assignment, weights=self.r, minlength=part.num_clusters)
+        if np.any(np.abs(sums - 1.0) > 1e-12):
+            raise ValueError("per-cluster node distributions must sum to 1")
+        if np.any((self.s < 0) | (self.s > 1)):
+            raise ValueError("leave probabilities must lie in [0, 1]")
+        if np.any(self.u < 0) or abs(self.u.sum() - 1.0) > 1e-12:
+            raise ValueError("cluster choice distribution must be a probability vector")
+
+
+def optimal_parameters(walk: RandomWalk, part: Partition) -> SyntheticWalkParams:
+    """Divergence-minimizing synthetic-walk parameters for a partition:
+    within-cluster distributions proportional to stationary mass, leave
+    probabilities matching the walk's, and cluster choice equal to cluster
+    mass."""
+    mass, within = mass_and_within(walk, part.assignment, part.num_clusters)
+    r = walk.p / mass[part.assignment]
+    s = np.clip(1.0 - within / mass, 0.0, 1.0)
+    # a cluster holding all stationary mass has nowhere to leave to; kill
+    # the accumulated-roundoff dust that would otherwise land in s
+    s[mass >= 1.0] = 0.0
+    return SyntheticWalkParams(r=r, s=s, u=mass)
+
+
+def synthetic_transition_matrix(part: Partition, params: SyntheticWalkParams) -> np.ndarray:
+    """Dense transition matrix of the synthetic walk.
+
+    Within cluster i: q(a -> b) = r_b (1 - s_i). Across clusters i -> j:
+    q(a -> b) = r_b s_i u_j / (1 - u_i).
+
+    Raises:
+        ValueError: invalid parameters, or u_i = 1 with s_i > 0 (leaving a
+            cluster that holds all choice mass is ill-defined).
+    """
+    params.validate(part)
+    m = part.assignment
+    s_row = params.s[m]
+    u_row = params.u[m]
+    remain = 1.0 - u_row
+    if np.any((remain <= 0.0) & (s_row > 0.0)):
+        raise ValueError("u = 1 with positive leave probability is ill-defined")
+    cross = np.where(remain > 0.0, s_row / np.where(remain > 0.0, remain, 1.0), 0.0)
+    same = m[:, None] == m[None, :]
+    q = params.r[None, :] * np.where(
+        same, (1.0 - s_row)[:, None], cross[:, None] * params.u[m][None, :]
+    )
+    rows = q.sum(axis=1)
+    if np.any(np.abs(rows - 1.0) > 1e-12):
+        raise ValueError("synthetic rows failed to normalize")
+    return q
+
+
+def objective_identity_check(walk: RandomWalk, part: Partition) -> tuple[float, float]:
+    """Evaluate both sides of the divergence identity.
+
+    Left side: KL divergence rate between the walk and the optimal synthetic
+    walk for this partition. Right side: node-level mutual information minus
+    the synthesis objective. The left side never exceeds the right side (up
+    to numerics); equality holds when no cluster switches occur or the
+    cluster choice distribution is exact.
+    """
+    params = optimal_parameters(walk, part)
+    q = synthetic_transition_matrix(part, params)
+    P = np.zeros((walk.n, walk.n))
+    P[walk.rows, walk.indices] = walk.P
+    lhs = kld_rate(P, q, walk.p)
+    report = evaluate_partition(walk, part)
+    return lhs, report.bound_node_mi - report.value
+
+
+def kld_rate(P: np.ndarray, Q: np.ndarray, p: np.ndarray) -> float:
+    """KL divergence rate in bits between two walks, given as dense
+    transition matrices, sharing the invariant distribution ``p``: sum over
+    transitions of p_a P_ab log(P_ab / Q_ab).
+
+    Returns +inf when Q assigns zero probability to a transition that P
+    takes with positive stationary flow.
+
+    Raises:
+        ValueError: on dimension mismatch.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    n = len(p)
+    if P.shape != (n, n) or Q.shape != (n, n):
+        raise ValueError("matrix shapes must match the distribution length")
+    rows, cols = np.nonzero((P > 0.0) & (p[:, None] > 0.0))
+    data = P[rows, cols]
+    qvals = Q[rows, cols]
+    if np.any(qvals <= 0.0):
+        return float("inf")
+    return float(np.sum(p[rows] * data * np.log2(data / qvals)))

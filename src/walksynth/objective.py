@@ -39,8 +39,8 @@ _BOUND_SLACK = 1e-9
 
 
 # A criterion sums a term of each cluster's stationary mass and within-cluster
-# flow: ``term`` on floats for move gains (numpy costs 60x more per call there),
-# ``terms`` elementwise on arrays (a logarithm may differ in its last bit).
+# flow. ``term`` on floats is its one formula: moves, reports, round values and
+# the oracle all price a cluster with it, so they agree bit for bit.
 # ``dense_targets``: moves may target any cluster, not only flow-adjacent ones.
 # ``weights(g)`` gives (node weights, total, edge tails, heads, weights, total):
 # summed over a cluster and divided by the totals, mass and within-cluster flow.
@@ -71,16 +71,6 @@ class _Synthesis:
         return mass * total
 
     @staticmethod
-    def terms(mass: np.ndarray, within: np.ndarray) -> np.ndarray:
-        live = (mass > 0.0) & (mass < 1.0)
-        t = np.where(live, mass, 0.5)
-        s = np.clip(within / t, 0.0, 1.0)
-        # log 1 = 0 stands in for the dropped 0 * log 0
-        stay = s * np.log2(np.where(s > 0.0, s / t, 1.0))
-        leave = (1.0 - s) * np.log2(np.where(s < 1.0, (1.0 - s) / (1.0 - t), 1.0))
-        return np.where(live, t * (stay + leave), 0.0)
-
-    @staticmethod
     def weights(g: Graph) -> tuple:
         walk = transition_matrix(g)
         return walk.p, 1.0, walk.rows, walk.indices, walk.flows, 1.0
@@ -95,9 +85,8 @@ class _Modularity:
 
     @staticmethod
     def term(mass, within):
+        # plain arithmetic, so also elementwise on arrays, with the same bits
         return within - mass * mass
-
-    terms = term
 
     @staticmethod
     def weights(g: Graph) -> tuple:
@@ -170,10 +159,18 @@ def evaluate_partition(walk: RandomWalk, part: Partition) -> ObjectiveReport:
         ValueError: a partition of another size, or a cluster with zero
             stationary mass.
     """
-    mass, within = mass_and_within(walk, part.assignment, part.num_clusters)
-    per = np.zeros(1) if part.num_clusters == 1 else SYNTHESIS.terms(mass, within)
+    per = partition_terms(walk, part, SYNTHESIS)
     cluster_mi = mutual_info_nodes(cluster_aggregates(walk, part))
     return ObjectiveReport(float(per.sum()), per, cluster_mi, mutual_info_nodes(walk))
+
+
+def partition_terms(walk: RandomWalk, part: Partition, criterion) -> np.ndarray:
+    """Each cluster's ``criterion.term``, in cluster order; [0.0] for a
+    single cluster. Raises ``mass_and_within``'s ``ValueError``s."""
+    mass, within = mass_and_within(walk, part.assignment, part.num_clusters)
+    if part.num_clusters == 1:
+        return np.zeros(1)
+    return np.array(list(map(criterion.term, mass.tolist(), within.tolist())))
 
 
 def modularity(g: Graph, part: Partition) -> float:
@@ -191,7 +188,7 @@ def modularity(g: Graph, part: Partition) -> float:
         assign[u], weights=w * (assign[u] == assign[v]), minlength=part.num_clusters
     )
     degree_sums = np.bincount(assign, weights=degrees, minlength=part.num_clusters)
-    return float(np.sum(MODULARITY.terms(degree_sums / two_m, internal / m)))
+    return float(np.sum(MODULARITY.term(degree_sums / two_m, internal / m)))
 
 
 class FlowMoveState:

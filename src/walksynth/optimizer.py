@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .objective import FlowMoveState, MoveRows, ObjectiveReport, criterion_for, evaluate_partition
+from .objective import (
+    FlowMoveState, MoveRows, ObjectiveReport, criterion_for, evaluate_partition, partition_terms
+)
 from .partitions import Partition
-from .walk import RandomWalk, cluster_aggregates, mass_and_within, transition_matrix
+from .walk import RandomWalk, cluster_aggregates, transition_matrix
 
 #: Levels at most this large also get the chained-move escape phase.
 CHAIN_NODE_CAP = 128
@@ -170,10 +172,7 @@ def _refine_level(
 
 
 def _partition_value(walk: RandomWalk, part: Partition, criterion) -> float:
-    if part.num_clusters == 1:
-        return 0.0
-    mass, within = mass_and_within(walk, part.assignment, part.num_clusters)
-    return float(np.sum(criterion.terms(mass, within)))
+    return float(np.sum(partition_terms(walk, part, criterion)))
 
 
 def optimize(g: Graph, cfg: OptimizerConfig | None = None) -> tuple[Partition, ObjectiveReport]:
@@ -276,9 +275,12 @@ def brute_force_optimum(
 ) -> tuple[Partition, float]:
     """Exhaustively maximize a criterion over all partitions of a small graph.
 
-    Scores ``set_partitions`` block by block. Ties break toward fewer
+    First prices each nonempty proper node subset once with the criterion's
+    ``term``, in chunks of ORACLE_BLOCK subsets: a table of 2^n floats, where
+    bit i of an index stands for node i and the whole node set scores 0. Then
+    scores ``set_partitions`` block by block, each row by adding the table
+    entries of its clusters in cluster-index order. Ties break toward fewer
     clusters, then the first assignment in (lexicographic) enumeration order.
-    The single cluster scores exactly 0 under either criterion.
 
     Args:
         g: the graph; must have at most ``n_cap`` nodes.
@@ -291,11 +293,27 @@ def brute_force_optimum(
     criterion = criterion_for(objective)
     if g.n > n_cap:
         raise ValueError(f"graph has {g.n} nodes, exceeding the enumeration cap {n_cap}")
-    weights = criterion.weights(g)
+    node_w, node_total, tails, heads, edge_w, edge_total = criterion.weights(g)
+    n, full = g.n, 2**g.n - 1
+    table = np.zeros(full + 1)
+    for lo in range(1, full, ORACLE_BLOCK):
+        # one row per subset, labelled 1 inside it: column 1 sums in the
+        # node and stored-edge order a partition row's cluster sums use
+        inside = (np.arange(lo, min(lo + ORACLE_BLOCK, full))[:, None] >> np.arange(n)) & 1
+        mass = _cluster_sums(inside, node_w, 2)[:, 1] / node_total
+        same = inside[:, tails] == inside[:, heads]
+        within = _cluster_sums(inside[:, tails], edge_w * same, 2)[:, 1] / edge_total
+        table[lo : lo + len(inside)] = list(map(criterion.term, mass.tolist(), within.tolist()))
 
+    bits = 2.0 ** np.arange(n)
     best_val, best_k, best_a = -np.inf, 0, None
-    for block in set_partitions(g.n):
-        values = _block_values(criterion, weights, block)
+    for block in set_partitions(n):
+        masks = _cluster_sums(block, bits, n).astype(np.int64)
+        # add the clusters in index order, as a Python loop would (a pairwise
+        # np.sum rounds differently); an empty one adds table[0] = 0.0
+        values = np.zeros(len(block))
+        for column in masks.T:
+            values += table[column]
         ks = block.max(axis=1) + 1
         top = np.flatnonzero(values == values.max())
         i = top[np.argmin(ks[top])]
@@ -310,20 +328,3 @@ def _cluster_sums(labels: np.ndarray, weights: np.ndarray, bins: int) -> np.ndar
     offset = labels + bins * np.arange(b)[:, None]
     summed = np.bincount(offset.ravel(), np.broadcast_to(weights, labels.shape).ravel(), b * bins)
     return summed.reshape(b, bins)
-
-
-def _block_values(criterion, weights: tuple, block: np.ndarray) -> np.ndarray:
-    """Value of each row of a (B, n) assignment array; ``weights`` from ``criterion``."""
-    node_w, node_total, tails, heads, edge_w, edge_total = weights
-    n = block.shape[1]
-    mass = _cluster_sums(block, node_w, n) / node_total
-    same = block[:, tails] == block[:, heads]
-    within = _cluster_sums(block[:, tails], edge_w * same, n) / edge_total
-    terms = criterion.terms(mass, within)
-    # add the clusters in index order, as a Python loop would; a pairwise
-    # np.sum over the zero-padded rows rounds differently
-    values = np.zeros(len(block))
-    for column in terms.T:
-        values += column
-    values[block.max(axis=1) == 0] = 0.0
-    return values

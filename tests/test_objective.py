@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 from walksynth import (
     FRESH,
     FlowMoveState,
+    IsolatedNodeError,
     ObjectiveReport,
     Partition,
+    PlantedPartitionParams,
     RandomWalk,
     cluster_aggregates,
     disconnected_cliques,
     evaluate_partition,
     modularity,
     mutual_info_nodes,
+    planted_partition,
     transition_matrix,
 )
 from walksynth.objective import MODULARITY, SYNTHESIS
@@ -397,19 +400,25 @@ def test_delta_matches_recompute_on_random_moves():
         assert min(kinds.values()) > 0, kinds
 
 
-def test_scalar_and_array_terms_agree():
+def test_term_edges_clipping_and_modularity_on_arrays():
     masses = [0.0, 1e-12, 0.05, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0]
-    for criterion in (SYNTHESIS, MODULARITY):
-        pairs = []
-        for mass in masses:
-            # stay probabilities below 0 and above 1 (roundoff) clip to 0 and 1
-            for stay in (-1e-3, 0.0, 1e-9, 0.3, mass, 0.99, 1.0, 1.0 + 1e-3):
-                pairs.append((mass, stay * mass))
-        mass_arr, within_arr = np.array(pairs).T
-        arr = criterion.terms(mass_arr, within_arr)
-        assert arr.shape == mass_arr.shape
-        for (mass, within), got in zip(pairs, arr):
-            assert abs(criterion.term(mass, within) - got) <= 1e-15, (mass, within)
+    pairs = []
+    for mass in masses:
+        # stay probabilities below 0 and above 1 (roundoff) score as 0 and 1
+        stays = (-1e-3, 0.0, 1e-9, 0.3, mass, 0.99, 1.0, 1.0 + 1e-3)
+        pairs += [(mass, stay * mass) for stay in stays]
+        terms = [SYNTHESIS.term(mass, stay * mass) for stay in stays]
+        assert all(math.isfinite(t) and t >= 0.0 for t in terms), mass
+        if mass in (0.0, 1.0):
+            assert terms == [0.0] * len(stays)
+        assert repr(terms[0]) == repr(SYNTHESIS.term(mass, 0.0))
+        assert repr(terms[-1]) == repr(SYNTHESIS.term(mass, mass))
+    assert MODULARITY.term(0.0, 0.0) == 0.0
+    # modularity() applies the scalar term to arrays, which must keep its bits
+    mass_arr, within_arr = np.array(pairs).T
+    arr = MODULARITY.term(mass_arr, within_arr)
+    for (mass, within), got in zip(pairs, arr.tolist()):
+        assert repr(got) == repr(MODULARITY.term(mass, within)), (mass, within)
 
 
 def test_state_value_matches_fresh_evaluation():
@@ -422,6 +431,32 @@ def test_state_value_matches_fresh_evaluation():
         # the cached terms of the active clusters sum to the value
         cached = sum(state.cluster_terms[c] for c in state.active)
         assert cached == pytest.approx(full_value(w, state.assignment), abs=1e-10)
+
+
+def test_reports_carry_the_search_prices():
+    # reports, round values and moves price a cluster with one formula, so
+    # they agree bit for bit on whatever CPU runs them
+    rng = np.random.default_rng(67)
+    checked = 0
+    for seed in range(1, 21):
+        g, _ = planted_partition(PlantedPartitionParams([10] * 20, 6, 0.3), seed)
+        try:
+            walk = transition_matrix(g)
+        except IsolatedNodeError:
+            continue
+        for _ in range(20):
+            part = random_partition(rng, g.n, 40)
+            per = evaluate_partition(walk, part).per_cluster
+            assert _partition_value(walk, part, SYNTHESIS) == float(np.sum(per))
+            if part.num_clusters == 1:
+                # scored 0 by definition; its summed mass may miss 1 by an ulp
+                assert per.tolist() == [0.0]
+                continue
+            prices = FlowMoveState(walk, part).cluster_terms
+            for c, term in enumerate(per.tolist()):
+                assert repr(term) == repr(prices[c]), (seed, c)
+            checked += 1
+    assert checked >= 200
 
 
 def test_state_fresh_move_opens_new_cluster():

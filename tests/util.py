@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 
 from walksynth import FRESH, Graph, Partition, RandomWalk, evaluate_partition, transition_matrix
 from walksynth.objective import CRITERIA
-from walksynth.optimizer import MIN_GAIN, _block_values
+from walksynth.optimizer import MIN_GAIN, _cluster_sums
 from walksynth.walk import mass_and_within
 
 
@@ -139,7 +139,22 @@ def reference_brute_force(g: Graph, objective: str = "synthesis") -> tuple[Parti
     """The exhaustive oracle one partition at a time: Knuth's Algorithm H
     (TAOCP 4A, 7.2.1.5) steps through the restricted-growth strings in
     lexicographic order, each is copied, and 4096 at a time are stacked and
-    scored. The best value wins, then fewer clusters, then the first."""
+    scored row by row: each row's cluster sums, ``criterion.term`` of each,
+    added in cluster order. The best value wins, then fewer clusters, then
+    the first."""
+
+    def block_values(block: np.ndarray) -> np.ndarray:
+        node_w, node_total, tails, heads, edge_w, edge_total = weights
+        n = block.shape[1]
+        mass = _cluster_sums(block, node_w, n) / node_total
+        same = block[:, tails] == block[:, heads]
+        within = _cluster_sums(block[:, tails], edge_w * same, n) / edge_total
+        values = np.zeros(len(block))
+        # add the clusters in index order; an empty cluster adds term(0, 0) = 0
+        for mass_c, within_c in zip(mass.T.tolist(), within.T.tolist()):
+            values += [criterion.term(m, w) for m, w in zip(mass_c, within_c)]
+        values[block.max(axis=1) == 0] = 0.0
+        return values
 
     def restricted_growth_strings(n: int):
         a = np.zeros(n, dtype=np.int64)
@@ -162,7 +177,7 @@ def reference_brute_force(g: Graph, objective: str = "synthesis") -> tuple[Parti
     best_val, best_k, best_a = -np.inf, 0, None
     partitions = restricted_growth_strings(g.n)
     while len(block := np.array([a.copy() for a in islice(partitions, 4096)])):
-        values = _block_values(criterion, weights, block)
+        values = block_values(block)
         ks = block.max(axis=1) + 1
         top = np.flatnonzero(values == values.max())
         i = top[np.argmin(ks[top])]

@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import bench, metrics
+from . import metrics
 from .graph import (
     Graph,
     PlantedPartitionParams,
@@ -232,6 +232,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # only a sweep needs the process pool: every other command starts
+    # without loading concurrent.futures and multiprocessing
+    from . import bench
+
     try:
         spec = bench.SweepSpec.from_json(args.config)
     except ValueError as exc:

@@ -9,7 +9,9 @@ synthesis value's upper bound.
 
 The search moves one node at a time through ``FlowMoveState``. A move is
 priced by ``best_move``, which scans a node's targets, prices each from the
-cached cluster sums and returns the best; ``apply`` then makes it.
+cached cluster sums and returns the best; ``apply`` then makes it. Under
+synthesis a per-cluster slope bound spares the scan most clusters a node has
+no flow to, with the same result as pricing them all.
 ``MoveRows`` runs the same scan on cached join terms, to keep every node's
 best move current across the steps of a chained-move escape.
 """
@@ -37,11 +39,17 @@ FRESH = -1
 
 _BOUND_SLACK = 1e-9
 
+# a pruned cluster's gain bound must stay this far below the best gain, times
+# 1 + the size of the source terms, to cover the rounding of priced gains
+_PRUNE_SLACK = 1e-9
+_LN2 = math.log(2.0)
+
 
 # A criterion sums a term of each cluster's stationary mass and within-cluster
 # flow. ``term`` on floats is its one formula: moves, reports, round values and
 # the oracle all price a cluster with it, so they agree bit for bit.
-# ``dense_targets``: moves may target any cluster, not only flow-adjacent ones.
+# ``dense_targets``: moves may target any cluster, not only flow-adjacent ones;
+# such a criterion also gives ``slope``, which bounds the gain of those moves.
 # ``weights(g)`` gives (node weights, total, edge tails, heads, weights, total):
 # summed over a cluster and divided by the totals, mass and within-cluster flow.
 
@@ -69,6 +77,20 @@ class _Synthesis:
         if s < 1.0:
             total += (1.0 - s) * math.log2((1.0 - s) / (1.0 - mass))
         return mass * total
+
+    @staticmethod
+    def slope(mass: float, within: float) -> float:
+        """The term's slope in mass at fixed within, in nats:
+        ln(1-s) - s - ln(1-m) + m(1-s)/(1-m) with s = within / mass clipped
+        at 0; +inf at mass >= 1 (or s >= 1). It falls as s rises and rises
+        with m, so adding mass p to a cluster at fixed within raises its term
+        by at most p * slope(mass + p, within) / ln 2 bits."""
+        if mass >= 1.0:
+            return math.inf
+        s = max(within / mass, 0.0)
+        if s >= 1.0:
+            return math.inf
+        return math.log1p(-s) - s - math.log1p(-mass) + mass * (1.0 - s) / (1.0 - mass)
 
     @staticmethod
     def weights(g: Graph) -> tuple:
@@ -197,16 +219,24 @@ class FlowMoveState:
 
     Tracks the current assignment, each cluster's mass, within-cluster flow,
     size and current criterion term (``cluster_terms``, kept equal to
-    ``term(mass[c], within[c])`` bit for bit). ``best_move`` prices all of a
-    node's moves in one scan and ``apply`` makes one; exact snapshot/restore
-    serves the optimizer's tentative move chains. A move targets an active
-    cluster (one with members) or FRESH, a new singleton.
+    ``term(mass[c], within[c])`` bit for bit). ``best_move`` prices a node's
+    moves in one scan and ``apply`` makes one; exact snapshot/restore serves
+    the optimizer's tentative move chains. A move targets an active cluster
+    (one with members) or FRESH, a new singleton.
 
     The scan reads one value at a time, so the per-node state (``assignment``,
     ``node_mass``, ``self_flow``) and the per-cluster state (``mass``,
     ``within``, ``cluster_terms``) are Python lists, whose items are plain
     ints and floats; ``counts`` stays a numpy array. ``active`` lists the
     active cluster ids in ascending order, the dense scan's target order.
+
+    Under a dense criterion, on a level with a node without self-loop flow,
+    ``keys[c]`` is ``slope(mass[c] + p_max, within[c])``, where ``p_max`` is
+    the level's largest node mass (the scan never reads a free id's key);
+    else ``keys`` is None. A node of mass p without self-loop flow that joins
+    a cluster it has no flow to raises that cluster's term by at most
+    ``p * keys[c] / ln 2``, which is what lets ``best_move`` skip such
+    clusters.
 
     Raises:
         ValueError: a partition of another size, or a walk whose flows are
@@ -236,6 +266,13 @@ class FlowMoveState:
         self.cluster_terms = [self.term(m, w) for m, w in zip(self.mass, self.within)]
         self.free_ids = [c for c in range(n - 1, k - 1, -1)]
         self.active = list(range(k))
+        self.keys = None
+        if criterion.dense_targets and 0.0 in self.self_flow:
+            self.p_max = p_max = max(self.node_mass)
+            self.keys = [criterion.slope(m + p_max, w) for m, w in zip(self.mass, self.within)]
+        # (node, flows_to_clusters(node)) from the last best_move, while the
+        # assignment has not changed since
+        self._flows_of: tuple[int, dict[int, float]] | None = None
 
     def flows_to_clusters(self, node: int) -> dict[int, float]:
         """Total stationary flow (both directions) between a node and each
@@ -261,8 +298,16 @@ class FlowMoveState:
         change which near-tied move wins, and with it the partitions found.
         ``MoveRows._pick`` repeats this scan on cached terms; change both
         together.
+
+        With ``keys`` built, a node without self-loop flow returns what that
+        ascending scan would, but prices fewer clusters: first its flow
+        targets, the smallest id winning an exact tie, then only the clusters
+        it has no flow to whose bound ``(new_a - old_a) + p * keys[c] / ln 2``
+        reaches the best gain so far less a float margin, then FRESH. Any
+        other cluster's gain is below the best, so it could not have won.
         """
         flows = self.flows_to_clusters(node)
+        self._flows_of = (node, flows)
         a = self.assignment[node]
         p = self.node_mass[node]
         sl = self.self_flow[node]
@@ -271,14 +316,34 @@ class FlowMoveState:
         alone = self.counts[a] == 1
         new_a = 0.0 if alone else term(mass[a] - p, within[a] - flows.get(a, 0.0) - sl)
         best_gain, best = min_gain, None
-        for c in self.active if self.criterion.dense_targets else flows:
-            if c == a:
-                continue
-            gain = (new_a + term(mass[c] + p, within[c] + flows.get(c, 0.0) + sl)) - (
-                old_a + cluster_terms[c]
-            )
-            if gain > best_gain:
-                best_gain, best = gain, c
+        keys = self.keys
+        if keys is None or sl != 0.0:
+            for c in self.active if self.criterion.dense_targets else flows:
+                if c == a:
+                    continue
+                gain = (new_a + term(mass[c] + p, within[c] + flows.get(c, 0.0) + sl)) - (
+                    old_a + cluster_terms[c]
+                )
+                if gain > best_gain:
+                    best_gain, best = gain, c
+        else:
+            # sl is 0.0, so the full scan's "+ sl" (and "+ 0.0" for a missing
+            # flow) would leave every sum, and so every term, as it is
+            for c, f in flows.items():
+                if c == a:
+                    continue
+                gain = (new_a + term(mass[c] + p, within[c] + f)) - (old_a + cluster_terms[c])
+                if gain > best_gain or (gain == best_gain and best is not None and c < best):
+                    best_gain, best = gain, c
+            # keys[c] >= floor is the bound reaching best_gain less the margin
+            margin = _PRUNE_SLACK * (1.0 + abs(new_a) + abs(old_a))
+            floor = (best_gain - margin - (new_a - old_a)) * _LN2 / p
+            for c in self.active:
+                if keys[c] < floor or c == a or c in flows:
+                    continue
+                gain = (new_a + term(mass[c] + p, within[c])) - (old_a + cluster_terms[c])
+                if gain > best_gain or (gain == best_gain and best is not None and c < best):
+                    best_gain, best = gain, c
         if not alone:
             gain = (new_a + term(p, sl)) - old_a
             if gain > best_gain:
@@ -303,7 +368,8 @@ class FlowMoveState:
             raise ValueError(f"move target {to_cluster} is neither FRESH nor an active cluster")
         if to_cluster == a:
             return a
-        flows = self.flows_to_clusters(node)
+        last, self._flows_of = self._flows_of, None
+        flows = last[1] if last is not None and last[0] == node else self.flows_to_clusters(node)
         p = self.node_mass[node]
         sl = self.self_flow[node]
         if self.counts[a] == 1:
@@ -322,6 +388,8 @@ class FlowMoveState:
         self.assignment[node] = to_cluster
         for c in (a, to_cluster):
             self.cluster_terms[c] = self.term(self.mass[c], self.within[c])
+            if self.keys is not None:
+                self.keys[c] = self.criterion.slope(self.mass[c] + self.p_max, self.within[c])
         return to_cluster
 
     def partition(self) -> Partition:
@@ -336,12 +404,15 @@ class FlowMoveState:
             list(self.free_ids),
             list(self.cluster_terms),
             list(self.active),
+            None if self.keys is None else list(self.keys),
         )
 
     def restore(self, snap: tuple) -> None:
         self.assignment, self.mass, self.within = list(snap[0]), list(snap[1]), list(snap[2])
         self.counts = snap[3].copy()
         self.free_ids, self.cluster_terms, self.active = list(snap[4]), list(snap[5]), list(snap[6])
+        self.keys = None if snap[7] is None else list(snap[7])
+        self._flows_of = None
 
 
 class MoveRows:

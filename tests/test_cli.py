@@ -509,6 +509,23 @@ def test_no_command_loads_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # only sweep needs the process pool; loading it at import would slow the
+    # start of every other command
+    script = textwrap.dedent("""
+        import sys
+        import walksynth, walksynth.cli
+        print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+    """)
+    src = str(Path(walksynth.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_missing_graph_file_is_a_data_error(tmp_path, capsys):
     rc, _, stderr = run(capsys, "detect", "--graph", tmp_path / "nope.txt")
     assert rc == 2

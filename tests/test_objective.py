@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walksynth import (
@@ -25,7 +25,7 @@ from walksynth import (
     transition_matrix,
 )
 from walksynth.objective import MODULARITY, SYNTHESIS
-from walksynth.optimizer import _partition_value
+from walksynth.optimizer import MIN_GAIN, _local_moving, _partition_value
 from util import (
     SyntheticWalkParams,
     dense,
@@ -624,3 +624,84 @@ def test_best_move_keeps_min_gain_and_offers_no_null_move(criterion):
             # a move only counts if it beats min_gain strictly
             assert state.best_move(node, gain) == (gain, None)
             assert state.best_move(node, math.inf) == (math.inf, None)
+
+
+def _ascending_scan(state, node: int, min_gain: float) -> tuple[float, int | None]:
+    """best_move's choice by pricing every active cluster in ascending order,
+    then FRESH: the first strict maximum above ``min_gain``."""
+    a = state.assignment[node]
+    best_gain, best = min_gain, None
+    targets = [c for c in state.active if c != a] + ([FRESH] if state.counts[a] > 1 else [])
+    for c in targets:
+        gain = reference_gain(state, node, c)
+        if gain > best_gain:
+            best_gain, best = gain, c
+    return best_gain, best
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 80), st.booleans(),
+       st.sampled_from(["singletons", "shuffled", "random", "settled"]))
+def test_pruned_best_move_matches_the_full_scan(seed, n, weighted, start):
+    # unweighted nodes have no self-loop flow and take the pruned scan;
+    # about half the weighted ones have a self-loop and scan every cluster
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, min(0.5, 5.0 / n))
+    if weighted:
+        g = weighted_version(rng, g)
+    if start == "shuffled":
+        # singletons whose ids do not follow node order, so flow targets
+        # that tie exactly come in another order than their ids
+        state = FlowMoveState(transition_matrix(g), Partition.single_cluster(n))
+        for node in rng.permutation(n)[1:].tolist():
+            state.apply(node, FRESH)
+    else:
+        part = Partition.singletons(n) if start == "singletons" else random_partition(rng, n)
+        state = FlowMoveState(transition_matrix(g), part)
+    if start == "settled":
+        _local_moving(state, rng)
+    assert state.keys is not None
+    calls = [0]
+
+    def counting(mass, within):
+        calls[0] += 1
+        return SYNTHESIS.term(mass, within)
+
+    skipped = 0
+    for node in range(n):
+        full_gain, _ = _ascending_scan(state, node, -math.inf)
+        for min_gain in (-math.inf, MIN_GAIN, full_gain):
+            expected = _ascending_scan(state, node, min_gain)
+            state.term, calls[0] = counting, 0
+            got = state.best_move(node, min_gain)
+            state.term = SYNTHESIS.term
+            assert repr(got) == repr(expected), (node, min_gain)
+            # the full scan prices every other active cluster, and the source
+            # and FRESH unless the node is alone
+            alone = state.counts[state.assignment[node]] == 1
+            full = len(state.active) - 1 + (0 if alone else 2)
+            assert calls[0] <= full
+            skipped += full - calls[0]
+            if state.self_flow[node] != 0.0:
+                assert calls[0] == full
+    if start in ("singletons", "shuffled") and not weighted:
+        assert skipped > 0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e-9, 1.0, exclude_max=True), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0))
+@example(0.3, 0.0, 0.5, 1.0)  # s = 0
+@example(0.5, 0.0, 1.0 - 1e-12, 1.0)  # m + p_max next to 1, s = 0
+@example(0.5, 0.8, 1.0 - 1e-12, 1.0)  # m + p_max next to 1
+@example(0.5, 0.8, 1.0, 1.0)  # m + p_max = 1: an infinite key
+@example(1e-4, 0.0, 1e-4, 1.0)
+def test_slope_key_bounds_every_join_without_flow(m, s, share, frac):
+    # a cluster of mass m and within-flow w = s m, and a node of mass
+    # p <= p_max joining it with no flow to it
+    w = s * m
+    p_max = share * (1.0 - m)
+    p = frac * p_max
+    key = SYNTHESIS.slope(m + p_max, w)
+    rise = SYNTHESIS.term(m + p, w) - SYNTHESIS.term(m, w)
+    assert rise <= p * key / math.log(2.0) + 1e-12

@@ -1,6 +1,7 @@
 """Multi-level greedy optimizer, exhaustive reference search, and the
 partition enumerator."""
 
+import hashlib
 import math
 import signal
 from array import array
@@ -122,6 +123,16 @@ def test_synthesis_finds_many_small_communities_that_modularity_merges():
     assert found["synthesis"] >= found["modularity"] + 0.2
 
 
+def test_a_thousand_node_search_keeps_its_partition_and_value():
+    # n = 1000 at mu 0.3, where nearly every visit skips most clusters the
+    # node has no flow to: the pruned scan makes the moves the full scan made
+    g, _ = planted_partition(PlantedPartitionParams([100] * 10, k_avg=15, mu=0.3), seed=1)
+    part, report = optimize(g, OptimizerConfig(seed=1))
+    digest = hashlib.sha256(part.assignment.astype("<i8").tobytes()).hexdigest()
+    assert digest == "bf7dcea752acc6abbfafe9e56d355f5d34c3498dde2916d967c74652f904ad08"
+    assert repr(report.value) == "1.4975489368852226"
+
+
 def test_value_never_below_singleton_start():
     rng = np.random.default_rng(73)
     for _ in range(10):
@@ -159,11 +170,11 @@ def test_local_moving_revisits_only_the_neighbours_of_moved_nodes(monkeypatch, c
 
 # ----------------------------------------------------------------- escapes
 
-def _bits(assignment, mass, within, counts, free_ids, cluster_terms, active) -> tuple:
+def _bits(assignment, mass, within, counts, free_ids, cluster_terms, active, keys) -> tuple:
     # floats as bit patterns: 0.0 and -0.0, or two roundings of a sum, differ
     return (list(assignment), array("d", mass).tobytes(), array("d", within).tobytes(),
             np.asarray(counts).tolist(), list(free_ids), array("d", cluster_terms).tobytes(),
-            list(active))
+            list(active), None if keys is None else array("d", keys).tobytes())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -185,7 +196,7 @@ def test_failed_escapes_leave_the_state_bit_for_bit(criterion, seed, n, settle):
     else:
         pytest.fail(f"{n} chain passes in a row were all kept")
     after = _bits(state.assignment, state.mass, state.within, state.counts, state.free_ids,
-                  state.cluster_terms, state.active)
+                  state.cluster_terms, state.active, state.keys)
     assert after == before
 
 

@@ -6,7 +6,6 @@ from .graph import (
     Graph,
     InfeasibleModelError,
     PlantedPartitionParams,
-    disconnected_cliques,
     dump_edge_list,
     load_edge_list,
     planted_partition,
@@ -46,7 +45,6 @@ __all__ = [
     "Graph",
     "InfeasibleModelError",
     "PlantedPartitionParams",
-    "disconnected_cliques",
     "dump_edge_list",
     "load_edge_list",
     "planted_partition",

@@ -301,35 +301,3 @@ def planted_partition(params: PlantedPartitionParams, seed: int):
     g = Graph(n=n, u=u, v=v, w=np.ones(len(u)))
     return g, Partition(assignment)
 
-
-def disconnected_cliques(sizes: Iterable[int], with_self_loops: bool = False):
-    """Disjoint union of cliques plus its clique partition.
-
-    With ``with_self_loops`` every node also carries a half-weight self-loop,
-    which under the doubled self-loop degree convention makes one walk step
-    uniform over all members of its clique, the current one included.
-
-    Returns:
-        (Graph, Partition) where the partition groups each clique.
-    """
-    from .partitions import Partition
-
-    sizes = [int(s) for s in sizes]
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    offset = 0
-    labels = []
-    for ci, size in enumerate(sizes):
-        a, b = np.triu_indices(size, k=1)
-        us += list(a + offset)
-        vs += list(b + offset)
-        ws += [1.0] * len(a)
-        if with_self_loops:
-            us += list(range(offset, offset + size))
-            vs += list(range(offset, offset + size))
-            ws += [0.5] * size
-        labels += [ci] * size
-        offset += size
-    g = Graph(n=offset, u=np.array(us), v=np.array(vs), w=np.array(ws))
-    return g, Partition(np.array(labels))

@@ -8,11 +8,12 @@ as a comparison criterion, and the cluster-level mutual information as the
 synthesis value's upper bound.
 
 The search moves one node at a time through ``FlowMoveState``. A move is
-priced by ``best_move``, which scans a node's targets, prices each from the
-cached cluster sums and returns the best; ``apply`` then makes it. Under
-synthesis a per-cluster slope bound spares the scan most clusters a node has
-no flow to, with the same result as pricing them all.
-``MoveRows`` runs the same scan on cached join terms, to keep every node's
+priced by ``best_move``, which scans a node's targets (the clusters it has
+flow to, under synthesis then the clusters it has no flow to, then a new
+singleton), prices each from the cached cluster sums and returns the best;
+``apply`` then makes it. A per-cluster slope bound spares the scan most
+clusters without flow, with the same result as pricing them all.
+``MoveRows`` makes the same choice on cached join terms, to keep every node's
 best move current across the steps of a chained-move escape.
 """
 
@@ -43,6 +44,11 @@ _BOUND_SLACK = 1e-9
 # 1 + the size of the source terms, to cover the rounding of priced gains
 _PRUNE_SLACK = 1e-9
 _LN2 = math.log(2.0)
+
+# the FlowMoveState fields a move changes, which snapshot copies in this order
+_STATE_FIELDS = (
+    "assignment", "mass", "within", "counts", "free_ids", "cluster_terms", "active", "keys"
+)
 
 
 # A criterion sums a term of each cluster's stationary mass and within-cluster
@@ -228,7 +234,8 @@ class FlowMoveState:
     ``node_mass``, ``self_flow``) and the per-cluster state (``mass``,
     ``within``, ``cluster_terms``) are Python lists, whose items are plain
     ints and floats; ``counts`` stays a numpy array. ``active`` lists the
-    active cluster ids in ascending order, the dense scan's target order.
+    active cluster ids in ascending order, the order in which the scan
+    prices clusters without flow.
 
     Under a dense criterion, on a level with a node without self-loop flow,
     ``keys[c]`` is ``slope(mass[c] + p_max, within[c])``, where ``p_max`` is
@@ -285,26 +292,27 @@ class FlowMoveState:
         return flows
 
     def best_move(self, node: int, min_gain: float) -> tuple[float, int | None]:
-        """The best single move of ``node``: (gain, target) for the first
-        target whose objective change is the strict maximum above
-        ``min_gain``, or (min_gain, None) if no move beats it.
+        """The best single move of ``node``: (gain, target) for the target
+        whose objective change is the maximum above ``min_gain``, or
+        (min_gain, None) if no move beats it.
 
-        Targets come in one fixed order: under ``dense_targets`` the active
-        clusters in ascending order, else the clusters the node has flow to,
-        in order of first neighbour; the node's own cluster is skipped; FRESH
-        comes last, unless the node is alone. The source side is priced once,
-        and each target by one criterion term added after it: float addition
-        is not associative, so another order would move gains by an ulp,
-        change which near-tied move wins, and with it the partitions found.
-        ``MoveRows._pick`` repeats this scan on cached terms; change both
-        together.
+        One scan prices the targets in this order: the clusters the node has
+        flow to, in order of first neighbour; under ``dense_targets`` then the
+        active clusters it has no flow to, in ascending order; FRESH last,
+        unless the node is alone. The node's own cluster is skipped. On an
+        exact tie the smallest id wins under ``dense_targets``, so the choice
+        is that of an ascending scan of every active cluster; else the first
+        target wins. FRESH wins only a strict maximum. The source side is
+        priced once, and each target by one criterion term added after it:
+        float addition is not associative, so another grouping would move
+        gains by an ulp, change which near-tied move wins, and with it the
+        partitions found. ``MoveRows._pick`` makes the same choice on cached
+        terms; change both together.
 
-        With ``keys`` built, a node without self-loop flow returns what that
-        ascending scan would, but prices fewer clusters: first its flow
-        targets, the smallest id winning an exact tie, then only the clusters
-        it has no flow to whose bound ``(new_a - old_a) + p * keys[c] / ln 2``
-        reaches the best gain so far less a float margin, then FRESH. Any
-        other cluster's gain is below the best, so it could not have won.
+        With ``keys`` built, a node without self-loop flow skips each cluster
+        without flow whose bound ``(new_a - old_a) + p * keys[c] / ln 2``
+        falls below the best gain so far less a float margin: its gain is
+        below the best, so it could not have won.
         """
         flows = self.flows_to_clusters(node)
         self._flows_of = (node, flows)
@@ -316,33 +324,28 @@ class FlowMoveState:
         alone = self.counts[a] == 1
         new_a = 0.0 if alone else term(mass[a] - p, within[a] - flows.get(a, 0.0) - sl)
         best_gain, best = min_gain, None
-        keys = self.keys
-        if keys is None or sl != 0.0:
-            for c in self.active if self.criterion.dense_targets else flows:
-                if c == a:
-                    continue
-                gain = (new_a + term(mass[c] + p, within[c] + flows.get(c, 0.0) + sl)) - (
-                    old_a + cluster_terms[c]
-                )
-                if gain > best_gain:
-                    best_gain, best = gain, c
-        else:
-            # sl is 0.0, so the full scan's "+ sl" (and "+ 0.0" for a missing
-            # flow) would leave every sum, and so every term, as it is
-            for c, f in flows.items():
-                if c == a:
-                    continue
-                gain = (new_a + term(mass[c] + p, within[c] + f)) - (old_a + cluster_terms[c])
-                if gain > best_gain or (gain == best_gain and best is not None and c < best):
-                    best_gain, best = gain, c
-            # keys[c] >= floor is the bound reaching best_gain less the margin
-            margin = _PRUNE_SLACK * (1.0 + abs(new_a) + abs(old_a))
-            floor = (best_gain - margin - (new_a - old_a)) * _LN2 / p
+        dense = self.criterion.dense_targets
+        for c, f in flows.items():
+            if c == a:
+                continue
+            gain = (new_a + term(mass[c] + p, within[c] + f + sl)) - (old_a + cluster_terms[c])
+            # ">=" first, so that a gain below the best costs one comparison
+            if gain >= best_gain and (gain > best_gain or (dense and best is not None and c < best)):
+                best_gain, best = gain, c
+        if dense:
+            keys, floor = self.keys, -math.inf
+            if keys is None:
+                # any list will do: no item is below a floor of -inf
+                keys = mass
+            elif sl == 0.0:
+                # keys[c] >= floor is the bound reaching best_gain less the margin
+                margin = _PRUNE_SLACK * (1.0 + abs(new_a) + abs(old_a))
+                floor = (best_gain - margin - (new_a - old_a)) * _LN2 / p
             for c in self.active:
                 if keys[c] < floor or c == a or c in flows:
                     continue
-                gain = (new_a + term(mass[c] + p, within[c])) - (old_a + cluster_terms[c])
-                if gain > best_gain or (gain == best_gain and best is not None and c < best):
+                gain = (new_a + term(mass[c] + p, within[c] + sl)) - (old_a + cluster_terms[c])
+                if gain >= best_gain and (gain > best_gain or (best is not None and c < best)):
                     best_gain, best = gain, c
         if not alone:
             gain = (new_a + term(p, sl)) - old_a
@@ -396,22 +399,13 @@ class FlowMoveState:
         return Partition(self.assignment)
 
     def snapshot(self) -> tuple:
-        return (
-            list(self.assignment),
-            list(self.mass),
-            list(self.within),
-            self.counts.copy(),
-            list(self.free_ids),
-            list(self.cluster_terms),
-            list(self.active),
-            None if self.keys is None else list(self.keys),
-        )
+        """Copies of the ``_STATE_FIELDS``, in that order."""
+        values = (getattr(self, name) for name in _STATE_FIELDS)
+        return tuple(None if v is None else v.copy() for v in values)
 
     def restore(self, snap: tuple) -> None:
-        self.assignment, self.mass, self.within = list(snap[0]), list(snap[1]), list(snap[2])
-        self.counts = snap[3].copy()
-        self.free_ids, self.cluster_terms, self.active = list(snap[4]), list(snap[5]), list(snap[6])
-        self.keys = None if snap[7] is None else list(snap[7])
+        for name, v in zip(_STATE_FIELDS, snap):
+            setattr(self, name, None if v is None else v.copy())
         self._flows_of = None
 
 
@@ -422,10 +416,13 @@ class MoveRows:
 
     Per node it caches its flows to clusters, its join term
     ``term(mass[c] + p, within[c] + flow to c + sl)`` for each target c, and
-    the new term of its own cluster without it. ``_pick`` is ``best_move``'s
-    scan on these terms, with its targets, their order, its gain expression
-    and its strict ``>``, so it returns what ``best_move(node, -inf)`` does;
-    a change to one needs the same change to the other.
+    the new term of its own cluster without it. ``_pick`` prices
+    ``best_move``'s targets on these terms with its gain expression: under
+    ``dense_targets`` every active cluster in ascending order, where a strict
+    ``>`` gives an exact tie to the smallest id, as in ``best_move``; else
+    the flow targets in ``best_move``'s order. So it returns what
+    ``best_move(node, -inf)`` does; a change to one needs the same change to
+    the other.
     """
 
     def __init__(self, state: FlowMoveState):
@@ -466,8 +463,7 @@ class MoveRows:
             elif dense:
                 t = shared[kind[y]]
                 if t is None:
-                    # best_move adds the missing flow as 0.0
-                    t = shared[kind[y]] = term(mc + node_mass[y], wc + 0.0 + self_flow[y])
+                    t = shared[kind[y]] = term(mc + node_mass[y], wc + self_flow[y])
                 joins[y][c] = t
 
     def _own(self, y: int) -> None:

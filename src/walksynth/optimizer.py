@@ -92,9 +92,9 @@ def _chain_pass(state: FlowMoveState) -> bool:
     b0, and its other targets keep their order: sparse targets come in order
     of first neighbour, which the move changes only for a0 and b0. If its
     best was elsewhere, it stays best unless a gain into a0 or b0 is at or
-    above it, as only a larger gain, or an equal one earlier in the scan, can
-    displace it. Every other node is picked again by ``best_move``'s scan,
-    with its order and its strict ``>``.
+    above it, as only a larger gain, or an equal one that wins the tie, can
+    displace it. Every other node's best is picked again as ``best_move``
+    picks it.
 
     Raises:
         RuntimeError: a kept prefix did not raise the value; mispriced moves

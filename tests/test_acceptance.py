@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 
 from test_metrics import ami_permutation_oracle
-from util import objective_identity_check, random_connected_graph, random_partition
+from util import (
+    disconnected_cliques,
+    objective_identity_check,
+    random_connected_graph,
+    random_partition,
+)
 
 import walksynth
 from walksynth import (
@@ -29,7 +34,6 @@ from walksynth import (
     ami,
     brute_force_optimum,
     cluster_stats,
-    disconnected_cliques,
     evaluate_partition,
     greedy_match,
     modularity,

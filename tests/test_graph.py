@@ -13,12 +13,12 @@ from walksynth import (
     Graph,
     InfeasibleModelError,
     PlantedPartitionParams,
-    disconnected_cliques,
     dump_edge_list,
     load_edge_list,
     planted_partition,
     write_label_map,
 )
+from util import disconnected_cliques
 
 
 def parse(text: str) -> Graph:

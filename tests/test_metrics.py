@@ -18,7 +18,6 @@ from walksynth import (
     classify_nodes,
     cluster_stats,
     contingency,
-    disconnected_cliques,
     evaluate_partition,
     greedy_match,
     modularity,
@@ -27,7 +26,7 @@ from walksynth import (
     write_cluster_stats_csv,
 )
 from walksynth.metrics import TRIANGLE_BLOCK_ROWS, ClusterStatsRow, _expected_mi
-from util import gnp_graph, random_connected_graph, random_partition
+from util import disconnected_cliques, gnp_graph, random_connected_graph, random_partition
 
 
 def ami_permutation_oracle(a: list[int], b: list[int]) -> float:

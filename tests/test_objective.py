@@ -17,7 +17,6 @@ from walksynth import (
     PlantedPartitionParams,
     RandomWalk,
     cluster_aggregates,
-    disconnected_cliques,
     evaluate_partition,
     modularity,
     mutual_info_nodes,
@@ -29,6 +28,7 @@ from walksynth.optimizer import MIN_GAIN, _local_moving, _partition_value
 from util import (
     SyntheticWalkParams,
     dense,
+    disconnected_cliques,
     kld_rate,
     objective_identity_check,
     optimal_parameters,
@@ -641,8 +641,8 @@ def _ascending_scan(state, node: int, min_gain: float) -> tuple[float, int | Non
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(20, 80), st.booleans(),
-       st.sampled_from(["singletons", "shuffled", "random", "settled"]))
-def test_pruned_best_move_matches_the_full_scan(seed, n, weighted, start):
+       st.sampled_from(["singletons", "shuffled", "random", "settled", "coarse"]))
+def test_best_move_matches_the_ascending_scan(seed, n, weighted, start):
     # unweighted nodes have no self-loop flow and take the pruned scan;
     # about half the weighted ones have a self-loop and scan every cluster
     rng = np.random.default_rng(seed)
@@ -660,7 +660,19 @@ def test_pruned_best_move_matches_the_full_scan(seed, n, weighted, start):
         state = FlowMoveState(transition_matrix(g), part)
     if start == "settled":
         _local_moving(state, rng)
-    assert state.keys is not None
+    if start == "coarse":
+        # a random partition of the walk of the clusters that modularity's
+        # local moving settles on: they share flow inside, so every node of
+        # that walk has self-loop flow, as on the search's coarse levels (the
+        # synthesis clusters of a random graph often have none). No keys are
+        # kept there, and every node prices every cluster.
+        settled = FlowMoveState(state.walk, part, MODULARITY)
+        _local_moving(settled, rng)
+        walk = cluster_aggregates(state.walk, settled.partition())
+        n = walk.n
+        state = FlowMoveState(walk, random_partition(rng, n))
+        assert 0.0 not in state.self_flow
+    assert (state.keys is None) == (start == "coarse")
     calls = [0]
 
     def counting(mass, within):

@@ -20,7 +20,6 @@ from walksynth import (
     ami,
     brute_force_optimum,
     cluster_aggregates,
-    disconnected_cliques,
     evaluate_partition,
     modularity,
     optimize,
@@ -34,6 +33,7 @@ from walksynth import optimizer
 from walksynth.objective import FRESH, MODULARITY, SYNTHESIS, MoveRows
 from walksynth.optimizer import _chain_pass, _local_moving, _partition_value, _refine_level
 from util import (
+    disconnected_cliques,
     random_connected_graph,
     random_partition,
     reference_brute_force,

@@ -13,7 +13,6 @@ from walksynth import (
     Partition,
     RandomWalk,
     cluster_aggregates,
-    disconnected_cliques,
     mutual_info_nodes,
     transition_matrix,
 )
@@ -21,6 +20,7 @@ from walksynth.objective import SYNTHESIS
 from walksynth.walk import mass_and_within
 from util import (
     dense,
+    disconnected_cliques,
     kld_rate,
     random_connected_graph,
     random_partition,
